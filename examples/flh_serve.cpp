@@ -6,10 +6,11 @@
 // One warm process owns the design/graph memos and a single .flowcache/
 // cone; clients speak the length-prefixed JSON protocol (ping / flow /
 // fuzz / equiv / metrics / shutdown — see src/serve/protocol.hpp) over a
-// Unix domain socket or loopback TCP. Compatible concurrent flow requests
-// coalesce into one cache cone; a bounded admission queue rejects overload
-// with structured retry-after errors; every request gets a trace id that
-// threads through the telemetry lanes.
+// Unix domain socket or loopback TCP. Each request runs by itself on one
+// worker, and a repeated flow replays its stages from the shared cache; a
+// bounded admission queue rejects overload with structured retry-after
+// errors; every request gets a trace id that threads through the
+// telemetry lanes.
 //
 // The process runs until a shutdown request or SIGINT/SIGTERM, then writes
 // the --trace/--metrics exports (telemetry spans all requests served) and
@@ -53,9 +54,9 @@ constexpr const char* kUsage = R"(usage: flh_serve [options]
                        telemetry; spans carry per-request trace ids)
   --metrics FILE       write flat telemetry metrics on exit (enables
                        telemetry)
-  --events FILE        write a structured JSONL event log (overload
-                       rejections, coalesced batches, session drops;
-                       independent of --trace)
+  --events FILE        write a structured JSONL event log (overload and
+                       deadline rejections, session drops; independent
+                       of --trace)
   --quiet              suppress startup/summary lines
   --help
 )";
@@ -168,8 +169,7 @@ int main(int argc, char** argv) {
         std::cout << "flh_serve: " << s.connections << " connections, " << s.ok << " ok, "
                   << s.errors << " errors (" << s.rejected_overload << " overload, "
                   << s.rejected_deadline << " deadline, " << s.rejected_shutdown
-                  << " shutdown), " << s.coalesced << " coalesced, " << s.batched
-                  << " batched\n";
+                  << " shutdown)\n";
     }
     return 0;
 }

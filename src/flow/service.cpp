@@ -1,7 +1,6 @@
 #include "flow/service.hpp"
 
 #include "flow/cache.hpp"
-#include "flow/hash.hpp"
 #include "util/json.hpp"
 
 namespace flh {
@@ -18,13 +17,6 @@ std::string configKey(const PaperFlowConfig& cfg) {
 }
 
 } // namespace
-
-std::string FlowJobSpec::coneKey() const {
-    ContentHasher h;
-    h.field(kFlowCodeVersion).field(configKey(cfg));
-    for (const std::string& c : circuits) h.field(c);
-    return h.digest().hex();
-}
 
 FlowService::FlowService(FlowServiceOptions opts) : opts_(std::move(opts)) {
     if (opts_.cache.enabled) cache_ = std::make_shared<FlowCache>(opts_.cache);
@@ -68,10 +60,6 @@ RunReport FlowService::run(const FlowJobSpec& spec) {
     fopts.cache = opts_.cache;
     fopts.cache_handle = cache_; // one warm handle across all cones
     return runFlow(*graph, designs, fopts);
-}
-
-std::string FlowService::designName(const std::string& circuit) {
-    return designFor(circuit).name;
 }
 
 std::size_t FlowService::designMemoSize() const {

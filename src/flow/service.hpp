@@ -15,7 +15,9 @@
 //     runFlow calls over one graph are safe);
 //   * one persistent FlowCache handle shared by every cone (atomic-rename
 //     stores make concurrent writers safe, and the shared handle keeps one
-//     pin set for the whole process — see cache.hpp).
+//     pin set for the whole process — see cache.hpp). It is the service's
+//     only cross-request dedupe: a repeated cone replays its stages from
+//     the cache; requests are never merged.
 //
 // run() is thread-safe and re-entrant: N serve workers each running a
 // cone concurrently is the intended shape — the serve worker pool *is*
@@ -49,13 +51,6 @@ struct FlowJobSpec {
     /// Scheduler width for this cone; 1 = inline on the calling worker
     /// (the serve default — the worker pool above provides parallelism).
     unsigned threads = 1;
-
-    /// Canonical content key of the cone this job computes: code version,
-    /// config, and the ordered circuit list. Two requests with equal
-    /// coneKey() resolve to the same stage keys, which is exactly the
-    /// "compatible requests coalesce into one cache cone" rule the serve
-    /// batcher enforces.
-    [[nodiscard]] std::string coneKey() const;
 };
 
 class FlowService {
@@ -73,12 +68,6 @@ public:
     /// disabled). The serve metrics request exports its stats; a serve
     /// admin GC goes through it so eviction respects the live pins.
     [[nodiscard]] const std::shared_ptr<FlowCache>& cache() const noexcept { return cache_; }
-
-    /// The DesignInput display name a circuit argument resolves to — the
-    /// key RunReport records carry. The serve batcher uses this to split a
-    /// merged cone's records back into per-request responses. Memoized
-    /// like run()'s own resolution; throws on unresolvable circuits.
-    [[nodiscard]] std::string designName(const std::string& circuit);
 
     /// Memo inspection (serve metrics export).
     [[nodiscard]] std::size_t designMemoSize() const;

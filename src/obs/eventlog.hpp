@@ -2,8 +2,8 @@
 //
 // Spans and counters answer "how long / how many"; the event log answers
 // "what happened and why" at the decision points that otherwise vanish:
-// overload rejections, GC evictions, manifest claim races, coalesced
-// batches, session drops. Design rules, mirroring telemetry.hpp:
+// overload and deadline rejections, GC evictions, manifest claim races,
+// session drops. Design rules, mirroring telemetry.hpp:
 //
 //  1. Near-zero cost when disabled: every logEvent() call first checks
 //     one process-global relaxed atomic through an inlined function and

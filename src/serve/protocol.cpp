@@ -130,7 +130,7 @@ std::string Response::toJson() const {
     if (ok) {
         w.kv("queue_ms", queue_ms);
         w.kv("wall_ms", wall_ms);
-        w.kv("coalesced", coalesced);
+        w.kv("coalesced", coalesced); // wire key kept for existing clients; always false
         w.key("result");
         w.rawValue(result_json.empty() ? "{}" : result_json);
     } else {

@@ -104,7 +104,7 @@ struct Response {
     std::string trace_id;
     double queue_ms = 0.0;
     double wall_ms = 0.0;
-    bool coalesced = false;
+    bool coalesced = false; ///< always false; kept because perfbench/serve_mix.cpp reads it
     std::string result_json = "{}";
     ErrorInfo error;
 
@@ -123,7 +123,7 @@ struct ParsedResponse {
     std::string trace_id;
     double queue_ms = 0.0;
     double wall_ms = 0.0;
-    bool coalesced = false;
+    bool coalesced = false; ///< always false; kept because perfbench/serve_mix.cpp reads it
     JsonValue result;
     ErrorInfo error;
 };
@@ -131,8 +131,8 @@ struct ParsedResponse {
 [[nodiscard]] ParsedResponse parseResponse(std::string_view frame);
 
 /// Serialize a parsed JsonValue back to the writer (keys in sorted map
-/// order) — the canonical form used for coalescing keys: two requests
-/// whose params differ only in key order or whitespace canonicalize to
+/// order) — the canonical form flh_client sends manifest params in: two
+/// values that differ only in key order or whitespace canonicalize to
 /// the same bytes.
 void writeValue(JsonWriter& w, const JsonValue& v);
 [[nodiscard]] std::string canonicalJson(const JsonValue& v);

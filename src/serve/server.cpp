@@ -56,49 +56,6 @@ std::string stripTrailingNewline(std::string s) {
     return s;
 }
 
-/// One flow request's slice of a (possibly merged) cone report.
-std::string flowMemberJson(const std::vector<std::string>& circuits,
-                           const std::set<std::string>& design_names, const RunReport& report,
-                           std::size_t batch_size) {
-    std::size_t stages = 0, hits = 0, misses = 0, failures = 0;
-    JsonWriter w;
-    w.beginObject();
-    w.key("circuits");
-    w.beginArray();
-    for (const std::string& c : circuits) w.value(c);
-    w.endArray();
-    w.key("records");
-    w.beginArray();
-    for (const StageRecord& r : report.records()) {
-        if (design_names.count(r.design) == 0) continue;
-        ++stages;
-        if (r.failed)
-            ++failures;
-        else if (r.cache_hit)
-            ++hits;
-        else
-            ++misses;
-        w.beginObject();
-        w.kv("design", r.design);
-        w.kv("stage", r.stage);
-        w.kv("cache_hit", r.cache_hit);
-        w.kv("failed", r.failed);
-        w.kv("wall_ms", r.wall_ms);
-        w.endObject();
-    }
-    w.endArray();
-    w.kv("stages", static_cast<std::uint64_t>(stages));
-    w.kv("hits", static_cast<std::uint64_t>(hits));
-    w.kv("misses", static_cast<std::uint64_t>(misses));
-    w.kv("failures", static_cast<std::uint64_t>(failures));
-    w.kv("hit_rate", (hits + misses) > 0
-                         ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-                         : 0.0);
-    w.kv("batch_size", static_cast<std::uint64_t>(batch_size));
-    w.endObject();
-    return w.str();
-}
-
 } // namespace
 
 void StatsSnapshot::writeJson(JsonWriter& w) const {
@@ -112,8 +69,8 @@ void StatsSnapshot::writeJson(JsonWriter& w) const {
     w.kv("rejected_overload", rejected_overload);
     w.kv("rejected_deadline", rejected_deadline);
     w.kv("rejected_shutdown", rejected_shutdown);
-    w.kv("coalesced", coalesced);
-    w.kv("batched", batched);
+    w.kv("coalesced", coalesced); // metrics key kept for readers; always 0
+    w.kv("batched", batched);     // metrics key kept for readers; always 0
     w.kv("dropped_replies", dropped_replies);
     w.kv("queue_depth", static_cast<std::uint64_t>(queue_depth));
     w.kv("open_sessions", static_cast<std::uint64_t>(open_sessions));
@@ -230,8 +187,6 @@ StatsSnapshot Server::stats() const {
     s.rejected_overload = stats_.rejected_overload.load(relaxed);
     s.rejected_deadline = stats_.rejected_deadline.load(relaxed);
     s.rejected_shutdown = stats_.rejected_shutdown.load(relaxed);
-    s.coalesced = stats_.coalesced.load(relaxed);
-    s.batched = stats_.batched.load(relaxed);
     s.dropped_replies = stats_.dropped_replies.load(relaxed);
     {
         std::lock_guard<std::mutex> lock(queue_mu_);
@@ -342,7 +297,6 @@ void Server::workerLoop(unsigned index) {
     static obs::Gauge& g_depth = obs::gauge("serve.queue_depth");
     for (;;) {
         Job job;
-        std::vector<Job> absorbed;
         bool drain = false;
         {
             std::unique_lock<std::mutex> lock(queue_mu_);
@@ -354,27 +308,13 @@ void Server::workerLoop(unsigned index) {
             job = std::move(queue_.front());
             queue_.pop_front();
             drain = stopping_.load(relaxed);
-            if (!drain && job.req.type == RequestType::Flow) {
-                // Batch absorption: pull still-queued flow jobs with the
-                // same flow config into this cone.
-                for (auto it = queue_.begin();
-                     it != queue_.end() && absorbed.size() + 1 < opts_.max_flow_batch;) {
-                    if (it->req.type == RequestType::Flow &&
-                        it->flow_cfg_key == job.flow_cfg_key) {
-                        absorbed.push_back(std::move(*it));
-                        it = queue_.erase(it);
-                    } else {
-                        ++it;
-                    }
-                }
-            }
             g_depth.set(static_cast<std::int64_t>(queue_.size()));
         }
         if (drain) {
             rejectJob(job, "shutting_down", "server is shutting down");
             continue;
         }
-        process(std::move(job), std::move(absorbed));
+        process(std::move(job));
     }
 }
 
@@ -431,7 +371,7 @@ void Server::handleFrame(const std::shared_ptr<Session>& session, const std::str
             w.endObject();
             result = w.str();
         }
-        respondOk(job, std::move(result), /*coalesced=*/false, /*queue_ms=*/0.0, msSince(t0));
+        respondOk(job, std::move(result), /*queue_ms=*/0.0, msSince(t0));
         if (job.req.type == RequestType::Shutdown) requestStop();
         return;
     }
@@ -447,7 +387,6 @@ void Server::handleFrame(const std::shared_ptr<Session>& session, const std::str
 
 void Server::validateJob(Job& job) {
     const JsonValue& p = job.req.params;
-    job.canon_key = std::string(toString(job.req.type)) + ":" + canonicalJson(p);
 
     switch (job.req.type) {
     case RequestType::Flow: {
@@ -459,10 +398,12 @@ void Server::validateJob(Job& job) {
         if (cs.arr.size() > opts_.max_flow_circuits)
             throw BadRequest("flow: at most " + std::to_string(opts_.max_flow_circuits) +
                              " circuits per request");
+        // Order-preserving dedupe: a repeated circuit runs, and reports, once.
+        std::set<std::string> seen;
         for (const JsonValue& c : cs.arr) {
             if (c.kind != JsonValue::Kind::Str || c.str.empty())
                 throw BadRequest("flow: \"circuits\" entries must be non-empty strings");
-            job.spec.circuits.push_back(c.str);
+            if (seen.insert(c.str).second) job.spec.circuits.push_back(c.str);
         }
         job.spec.cfg.random_pairs = static_cast<int>(boundedNum(p, "pairs", 64, 1, 4096));
         job.spec.cfg.atpg_seed =
@@ -473,10 +414,6 @@ void Server::validateJob(Job& job) {
             static_cast<std::uint64_t>(boundedNum(p, "power_seed", 1234, 0, 1e15));
         job.spec.threads = static_cast<unsigned>(
             boundedNum(p, "threads", 1, 1, static_cast<double>(opts_.max_flow_threads)));
-        job.flow_cfg_key = std::to_string(job.spec.cfg.random_pairs) + ":" +
-                           std::to_string(job.spec.cfg.atpg_seed) + ":" +
-                           std::to_string(job.spec.cfg.power_vectors) + ":" +
-                           std::to_string(job.spec.cfg.power_seed);
         break;
     }
     case RequestType::Fuzz:
@@ -528,103 +465,79 @@ void Server::admit(Job job) {
     queue_cv_.notify_one();
 }
 
-void Server::process(Job job, std::vector<Job> absorbed) {
+void Server::process(Job job) {
     const Clock::time_point t0 = Clock::now();
-    auto queueMs = [&](const Job& j) { return msSince(j.enqueued, t0); };
+    const double queue_ms = msSince(job.enqueued, t0);
 
-    // Queue-wait deadlines: an expired member is rejected, never run; the
-    // rest of a batch proceeds without it.
-    std::vector<Job*> members;
-    auto aliveAfterDeadline = [&](Job& j) {
-        if (j.deadline_ms > 0.0 && queueMs(j) > j.deadline_ms) {
-            rejectJob(j, "deadline_exceeded",
-                      "spent " + formatNumber(queueMs(j)) + " ms queued, deadline " +
-                          formatNumber(j.deadline_ms) + " ms");
-            return false;
-        }
-        return true;
-    };
-    if (aliveAfterDeadline(job)) members.push_back(&job);
-    for (Job& a : absorbed)
-        if (aliveAfterDeadline(a)) members.push_back(&a);
-    if (members.empty()) return;
-
-    Job& lead = *members.front();
-    obs::ScopedTraceId tid(lead.trace_id);
-    obs::ScopedSpan span("serve." + std::string(toString(lead.req.type)), "serve.request");
-
-    if (lead.req.type == RequestType::Flow) {
-        runFlowBatch(members, t0); // handles its own per-member errors
+    // Queue-wait deadline: an expired job is rejected, never run.
+    if (job.deadline_ms > 0.0 && queue_ms > job.deadline_ms) {
+        rejectJob(job, "deadline_exceeded",
+                  "spent " + formatNumber(queue_ms) + " ms queued, deadline " +
+                      formatNumber(job.deadline_ms) + " ms");
         return;
     }
 
+    obs::ScopedTraceId tid(job.trace_id);
+    obs::ScopedSpan span("serve." + std::string(toString(job.req.type)), "serve.request");
     try {
-        // fuzz / equiv: identical concurrent requests share one run.
-        const SingleFlight::Outcome out = flights_.run(lead.canon_key, [&] {
-            return lead.req.type == RequestType::Fuzz ? fuzzResultJson(lead)
-                                                      : equivResultJson(lead);
-        });
-        if (out.coalesced)
-            obs::logEvent(obs::EventLevel::Info, "serve", "coalesced",
-                          {{"type", std::string(toString(lead.req.type))},
-                           {"trace", lead.trace_id}});
-        respondOk(lead, out.value, out.coalesced, queueMs(lead), msSince(t0));
+        std::string result = job.req.type == RequestType::Flow   ? flowResultJson(job)
+                             : job.req.type == RequestType::Fuzz ? fuzzResultJson(job)
+                                                                 : equivResultJson(job);
+        respondOk(job, std::move(result), queue_ms, msSince(t0));
     } catch (const BadRequest& e) {
-        rejectJob(lead, "bad_request", e.what());
+        rejectJob(job, "bad_request", e.what());
     } catch (const std::exception& e) {
-        rejectJob(lead, "internal", e.what());
-    }
-}
-
-void Server::runFlowBatch(const std::vector<Job*>& members, Clock::time_point t0) {
-    // Resolve every member's circuits up front; a member with an
-    // unresolvable circuit is rejected alone, not the whole batch.
-    std::vector<Job*> alive;
-    std::vector<std::set<std::string>> names; // parallel to alive
-    for (Job* m : members) {
-        try {
-            std::set<std::string> ns;
-            for (const std::string& c : m->spec.circuits) ns.insert(flow_.designName(c));
-            alive.push_back(m);
-            names.push_back(std::move(ns));
-        } catch (const std::exception& e) {
-            rejectJob(*m, "bad_request", e.what());
-        }
-    }
-    if (alive.empty()) return;
-
-    FlowJobSpec merged = alive.front()->spec; // config identical across the batch
-    merged.circuits.clear();
-    std::set<std::string> seen;
-    for (Job* m : alive) {
-        merged.threads = std::max(merged.threads, m->spec.threads);
-        for (const std::string& c : m->spec.circuits)
-            if (seen.insert(c).second) merged.circuits.push_back(c);
-    }
-    if (alive.size() > 1) {
-        stats_.batched.fetch_add(alive.size() - 1, relaxed);
-        static obs::Counter& c_batched = obs::counter("serve.batched");
-        c_batched.add(alive.size() - 1);
-        obs::logEvent(obs::EventLevel::Info, "serve", "batch_absorbed",
-                      {{"members", static_cast<std::uint64_t>(alive.size())},
-                       {"circuits", static_cast<std::uint64_t>(merged.circuits.size())},
-                       {"trace", alive.front()->trace_id}});
-    }
-
-    try {
-        const RunReport report = flow_.run(merged);
-        const double wall = msSince(t0);
-        for (std::size_t i = 0; i < alive.size(); ++i)
-            respondOk(*alive[i],
-                      flowMemberJson(alive[i]->spec.circuits, names[i], report, alive.size()),
-                      /*coalesced=*/alive[i] != alive.front(), msSince(alive[i]->enqueued, t0),
-                      wall);
-    } catch (const std::exception& e) {
-        for (Job* m : alive) rejectJob(*m, "internal", e.what());
+        rejectJob(job, "internal", e.what());
     }
 }
 
 // ---- handlers ----------------------------------------------------------
+
+std::string Server::flowResultJson(const Job& job) {
+    // FlowService::run throws only when a circuit does not resolve; stage
+    // failures come back per record.
+    const RunReport report = [&] {
+        try {
+            return flow_.run(job.spec);
+        } catch (const std::exception& e) {
+            throw BadRequest("flow: " + std::string(e.what()));
+        }
+    }();
+    std::size_t hits = 0, misses = 0, failures = 0;
+    JsonWriter w;
+    w.beginObject();
+    w.key("circuits");
+    w.beginArray();
+    for (const std::string& c : job.spec.circuits) w.value(c);
+    w.endArray();
+    w.key("records");
+    w.beginArray();
+    for (const StageRecord& r : report.records()) {
+        if (r.failed)
+            ++failures;
+        else if (r.cache_hit)
+            ++hits;
+        else
+            ++misses;
+        w.beginObject();
+        w.kv("design", r.design);
+        w.kv("stage", r.stage);
+        w.kv("cache_hit", r.cache_hit);
+        w.kv("failed", r.failed);
+        w.kv("wall_ms", r.wall_ms);
+        w.endObject();
+    }
+    w.endArray();
+    w.kv("stages", static_cast<std::uint64_t>(report.records().size()));
+    w.kv("hits", static_cast<std::uint64_t>(hits));
+    w.kv("misses", static_cast<std::uint64_t>(misses));
+    w.kv("failures", static_cast<std::uint64_t>(failures));
+    w.kv("hit_rate", (hits + misses) > 0
+                         ? static_cast<double>(hits) / static_cast<double>(hits + misses)
+                         : 0.0);
+    w.endObject();
+    return w.str();
+}
 
 std::string Server::fuzzResultJson(const Job& job) {
     const JsonValue& p = job.req.params;
@@ -713,7 +626,7 @@ std::string Server::metricsResultJson() {
         w.beginObject();
         w.kv("ok", type_stats_[i].ok.load(relaxed));
         w.kv("error", type_stats_[i].error.load(relaxed));
-        w.kv("coalesced", type_stats_[i].coalesced.load(relaxed));
+        w.kv("coalesced", std::uint64_t{0}); // metrics key kept for readers
         w.endObject();
     }
     w.endObject();
@@ -749,8 +662,7 @@ std::string Server::metricsResultJson() {
 
 // ---- response plumbing -------------------------------------------------
 
-void Server::respondOk(const Job& job, std::string result, bool coalesced, double queue_ms,
-                       double wall_ms) {
+void Server::respondOk(const Job& job, std::string result, double queue_ms, double wall_ms) {
     stats_.completed.fetch_add(1, relaxed);
     stats_.ok.fetch_add(1, relaxed);
     static obs::Counter& c_ok = obs::counter("serve.ok");
@@ -761,16 +673,9 @@ void Server::respondOk(const Job& job, std::string result, bool coalesced, doubl
     // works with telemetry off, like the rest of stats_.
     queue_hist_[ti]->observe(queue_ms);
     service_hist_[ti]->observe(wall_ms);
-    if (coalesced) {
-        stats_.coalesced.fetch_add(1, relaxed);
-        static obs::Counter& c_coal = obs::counter("serve.coalesced");
-        c_coal.add();
-        type_stats_[ti].coalesced.fetch_add(1, relaxed);
-    }
     Response r = Response::okFor(job.req.id, job.trace_id, std::move(result));
     r.queue_ms = queue_ms;
     r.wall_ms = wall_ms;
-    r.coalesced = coalesced;
     sendResponse(*job.session, r);
     noteServiceTime(wall_ms);
 }

@@ -26,12 +26,10 @@
 // bound queue wait — a job still queued past its deadline is rejected as
 // "deadline_exceeded", never run.
 //
-// Coalescing: a worker that dequeues a flow job absorbs still-queued flow
-// jobs with the same flow config into one merged cone (their responses
-// are split back out of the shared RunReport, flagged `coalesced`), and
-// identical concurrent fuzz/equiv/flow requests share one computation via
-// SingleFlight. Either way, compatible concurrent requests converge on
-// one cache cone.
+// No request-level coalescing: every admitted job runs by itself on one
+// worker. Repeated work across requests is removed one layer down, by the
+// FlowService's shared FlowCache — a repeated flow replays its stages
+// from the cache instead of recomputing them.
 //
 // Observability: every request gets a server-assigned trace id, set as
 // the thread-local obs trace id for the duration of its handler — all
@@ -45,8 +43,8 @@
 // and service-time land in always-on per-request-type histograms
 // (serve.latency.<type>.{queue_ms,service_ms}) surfaced by the metrics
 // request. Decision points that produce no response detail — overload
-// and deadline rejections, batch absorption, coalescing, session
-// retirement — emit structured events (obs/eventlog.hpp).
+// and deadline rejections, internal errors, session retirement — emit
+// structured events (obs/eventlog.hpp).
 //
 // Graceful stop: new connections and admissions are refused, session
 // sockets are shut down read-side only (in-flight responses still flush),
@@ -55,7 +53,6 @@
 #pragma once
 
 #include "flow/service.hpp"
-#include "serve/batcher.hpp"
 #include "serve/protocol.hpp"
 #include "util/socket.hpp"
 
@@ -110,7 +107,6 @@ struct ServeOptions {
     // admission-control story continues into the request content).
     unsigned max_flow_threads = 4;      ///< clamp on per-request cone width
     std::size_t max_flow_circuits = 16; ///< circuits per flow request
-    std::size_t max_flow_batch = 8;     ///< jobs merged into one cone
     std::size_t max_fuzz_seeds = 256;   ///< seeds per fuzz request
     std::size_t max_equiv_pairs = 256;  ///< random+atpg pairs per equiv request
 
@@ -130,8 +126,8 @@ struct StatsSnapshot {
     std::uint64_t rejected_overload = 0;
     std::uint64_t rejected_deadline = 0;
     std::uint64_t rejected_shutdown = 0;
-    std::uint64_t coalesced = 0; ///< responses served from a shared computation
-    std::uint64_t batched = 0;   ///< flow jobs absorbed into a merged cone
+    std::uint64_t coalesced = 0; ///< always 0; kept because perfbench/serve_mix.cpp reads it
+    std::uint64_t batched = 0;   ///< always 0; kept because perfbench/serve_mix.cpp reads it
     std::uint64_t dropped_replies = 0; ///< peer gone before the response
     std::size_t queue_depth = 0;
     std::size_t open_sessions = 0; ///< live connections (retired ones pruned)
@@ -187,8 +183,6 @@ private:
         // Flow jobs only — parsed at admission so the queue holds
         // ready-to-run specs and validation errors answer immediately.
         FlowJobSpec spec;
-        std::string flow_cfg_key; ///< batch-compatibility key (config only)
-        std::string canon_key;    ///< single-flight key (type + canonical params)
     };
 
     void listenLoop();
@@ -204,18 +198,16 @@ private:
     void reapFinishedSessions();
 
     void handleFrame(const std::shared_ptr<Session>& session, const std::string& frame);
-    void validateJob(Job& job); ///< fills spec/keys; throws BadRequest (internal type)
+    void validateJob(Job& job); ///< fills spec; throws BadRequest (internal type)
     void admit(Job job);
-    void process(Job job, std::vector<Job> absorbed);
-    void runFlowBatch(const std::vector<Job*>& members,
-                      std::chrono::steady_clock::time_point t0);
+    void process(Job job);
 
+    [[nodiscard]] std::string flowResultJson(const Job& job);
     [[nodiscard]] std::string fuzzResultJson(const Job& job);
     [[nodiscard]] std::string equivResultJson(const Job& job);
     [[nodiscard]] std::string metricsResultJson();
 
-    void respondOk(const Job& job, std::string result, bool coalesced, double queue_ms,
-                   double wall_ms);
+    void respondOk(const Job& job, std::string result, double queue_ms, double wall_ms);
     void rejectJob(const Job& job, const char* code, std::string message,
                    double retry_after_ms = 0.0);
     void sendResponse(Session& session, const Response& resp);
@@ -225,7 +217,6 @@ private:
 
     ServeOptions opts_;
     FlowService flow_;
-    SingleFlight flights_;
     std::unique_ptr<obs::Sampler> sampler_;
 
     net::Socket listener_;
@@ -255,14 +246,14 @@ private:
     struct Stats {
         std::atomic<std::uint64_t> connections{0}, accepted{0}, completed{0}, ok{0},
             errors{0}, bad_requests{0}, rejected_overload{0}, rejected_deadline{0},
-            rejected_shutdown{0}, coalesced{0}, batched{0}, dropped_replies{0};
+            rejected_shutdown{0}, dropped_replies{0};
     } stats_;
 
     /// Always-on per-request-type breakdown behind the metrics response's
     /// "requests" section; indexed by RequestType.
     static constexpr std::size_t kNumRequestTypes = 6;
     struct TypeCounters {
-        std::atomic<std::uint64_t> ok{0}, error{0}, coalesced{0};
+        std::atomic<std::uint64_t> ok{0}, error{0};
     };
     std::array<TypeCounters, kNumRequestTypes> type_stats_;
     /// Registry-owned latency histograms, one queue-wait + one

@@ -1,9 +1,8 @@
-// flh_serve subsystem: wire protocol round-trips, single-flight
-// coalescing, and the server end-to-end over a real socket — warm-cache
-// replay, flow batch absorption, admission control (overload rejections
-// with retry-after, queue-wait deadlines), malformed frames, graceful
-// shutdown, and a multi-client concurrency soak.
-#include "serve/batcher.hpp"
+// flh_serve subsystem: wire protocol round-trips and the server end-to-end
+// over a real socket — warm-cache replay, duplicate-circuit dedupe,
+// admission control (overload rejections with retry-after, queue-wait
+// deadlines), malformed frames, graceful shutdown, and a multi-client
+// concurrency soak.
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "obs/telemetry.hpp"
@@ -107,73 +106,6 @@ TEST(ServeProtocol, CanonicalJsonIgnoresKeyOrderAndWhitespace) {
     EXPECT_NE(canonicalJson(a), canonicalJson(c));
 }
 
-// ---- single flight -----------------------------------------------------
-
-TEST(ServeSingleFlight, FollowersShareTheLeadersResult) {
-    SingleFlight sf;
-    std::atomic<int> runs{0};
-    std::atomic<int> coalesced{0};
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 8; ++i) {
-        threads.emplace_back([&] {
-            const SingleFlight::Outcome out = sf.run("k", [&] {
-                runs.fetch_add(1);
-                std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                return std::string("value");
-            });
-            EXPECT_EQ(out.value, "value");
-            if (out.coalesced) coalesced.fetch_add(1);
-        });
-    }
-    for (std::thread& t : threads) t.join();
-    // The key is erased when a leader finishes, so late arrivals may start
-    // fresh flights — but followers never outnumber total minus leaders.
-    EXPECT_GE(runs.load(), 1);
-    EXPECT_EQ(runs.load() + coalesced.load(), 8);
-    EXPECT_EQ(sf.inflight(), 0u);
-}
-
-TEST(ServeSingleFlight, LeaderErrorPropagatesToFollowers) {
-    SingleFlight sf;
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 4; ++i) {
-        threads.emplace_back([&] {
-            try {
-                (void)sf.run("boom", [&]() -> std::string {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                    throw std::runtime_error("leader failed");
-                });
-            } catch (const std::runtime_error&) {
-                failures.fetch_add(1);
-            }
-        });
-    }
-    for (std::thread& t : threads) t.join();
-    EXPECT_EQ(failures.load(), 4);
-    EXPECT_EQ(sf.inflight(), 0u);
-}
-
-TEST(ServeSingleFlight, DistinctKeysRunIndependently) {
-    SingleFlight sf;
-    std::atomic<int> runs{0};
-    std::thread a([&] {
-        (void)sf.run("a", [&] {
-            runs.fetch_add(1);
-            return std::string("a");
-        });
-    });
-    std::thread b([&] {
-        (void)sf.run("b", [&] {
-            runs.fetch_add(1);
-            return std::string("b");
-        });
-    });
-    a.join();
-    b.join();
-    EXPECT_EQ(runs.load(), 2);
-}
-
 // ---- server end-to-end -------------------------------------------------
 
 /// Running server on an ephemeral loopback port with a throwaway cache
@@ -212,6 +144,15 @@ ParsedResponse roundTrip(const net::Socket& sock, const Request& req) {
     const std::optional<std::string> raw = net::readFrame(sock);
     if (!raw) throw std::runtime_error("connection closed before a reply");
     return parseResponse(*raw);
+}
+
+/// A length-prefixed frame as raw bytes, so several frames can go out in
+/// one send.
+std::string frameBytes(const std::string& payload) {
+    const auto n = static_cast<std::uint32_t>(payload.size());
+    return std::string{static_cast<char>(n >> 24), static_cast<char>(n >> 16),
+                       static_cast<char>(n >> 8), static_cast<char>(n)} +
+           payload;
 }
 
 Request flowRequest(std::uint64_t id, const std::string& circuits_json, int pairs) {
@@ -276,39 +217,26 @@ TEST(ServeServer, WarmReplayServesFromCache) {
     EXPECT_DOUBLE_EQ(warm.result.at("misses").num, 0.0);
 }
 
-TEST(ServeServer, QueuedCompatibleFlowsBatchIntoOneCone) {
-    ServeOptions opts;
-    opts.workers = 1; // one worker: the first slow job pins it
-    opts.queue_limit = 16;
-    ServerFixture fx(opts);
+TEST(ServeServer, DuplicateCircuitsRunAndReportOnce) {
+    ServerFixture fx;
+    const net::Socket sock = fx.connect();
+    const ParsedResponse once = roundTrip(sock, flowRequest(1, R"(["s27"])", 8));
+    const ParsedResponse twice = roundTrip(sock, flowRequest(2, R"(["s27", "s298", "s27"])", 8));
+    ASSERT_TRUE(once.ok);
+    ASSERT_TRUE(twice.ok);
 
-    // Pin the worker with a deliberately heavier flow, then queue two
-    // identical cheap ones from separate connections. The worker absorbs
-    // both into one batch when it frees up; the absorbed member is marked
-    // coalesced.
-    const net::Socket pinner = fx.connect();
-    const net::Socket a = fx.connect();
-    const net::Socket b = fx.connect();
-    ASSERT_TRUE(net::writeFrame(pinner, flowRequest(1, R"(["s1423"])", 256).toJson()));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30)); // let it dequeue
-    ASSERT_TRUE(net::writeFrame(a, flowRequest(2, R"(["s27"])", 8).toJson()));
-    ASSERT_TRUE(net::writeFrame(b, flowRequest(3, R"(["s27"])", 8).toJson()));
-
-    auto read = [](const net::Socket& s) {
-        const std::optional<std::string> raw = net::readFrame(s);
-        EXPECT_TRUE(raw.has_value());
-        return parseResponse(*raw);
-    };
-    const ParsedResponse rp = read(pinner);
-    const ParsedResponse ra = read(a);
-    const ParsedResponse rb = read(b);
-    EXPECT_TRUE(rp.ok);
-    ASSERT_TRUE(ra.ok);
-    ASSERT_TRUE(rb.ok);
-    // Both batch members report only their own design's stages.
-    EXPECT_EQ(ra.result.at("stages").num, rb.result.at("stages").num);
-    EXPECT_EQ(fx.server.stats().batched, 1u);
-    EXPECT_TRUE(ra.coalesced || rb.coalesced);
+    // The request is deduped in order at admission, so each design's
+    // records appear once.
+    const std::vector<JsonValue>& circuits = twice.result.at("circuits").arr;
+    ASSERT_EQ(circuits.size(), 2u);
+    EXPECT_EQ(circuits[0].str, "s27");
+    EXPECT_EQ(circuits[1].str, "s298");
+    std::size_t s27_records = 0;
+    for (const JsonValue& r : twice.result.at("records").arr)
+        s27_records += r.at("design").str == "s27" ? 1 : 0;
+    EXPECT_EQ(static_cast<double>(s27_records), once.result.at("stages").num);
+    EXPECT_EQ(twice.result.at("records").arr.size(),
+              static_cast<std::size_t>(twice.result.at("stages").num));
 }
 
 TEST(ServeServer, OverloadRejectsWithRetryAfter) {
@@ -317,8 +245,8 @@ TEST(ServeServer, OverloadRejectsWithRetryAfter) {
     opts.queue_limit = 1;
     ServerFixture fx(opts);
 
-    // Distinct configs so nothing is absorbed: one runs, one queues, the
-    // rest must be rejected with a structured retry-after.
+    // Distinct configs keep every job a cold cone: one runs, one queues,
+    // the rest must be rejected with a structured retry-after.
     std::vector<net::Socket> socks;
     for (int i = 0; i < 4; ++i) socks.push_back(fx.connect());
     for (int i = 0; i < 4; ++i)
@@ -352,21 +280,28 @@ TEST(ServeServer, QueueWaitDeadlineIsEnforced) {
     opts.queue_limit = 8;
     ServerFixture fx(opts);
 
-    const net::Socket pinner = fx.connect();
-    const net::Socket late = fx.connect();
-    ASSERT_TRUE(net::writeFrame(pinner, flowRequest(1, R"(["s1423"])", 256).toJson()));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30)); // worker is busy now
-
+    // Both frames in one send on one connection: the session admits them
+    // in order and the single worker dequeues FIFO, so the doomed job
+    // always waits behind the pinner's cold flow. (Two sends would let
+    // Nagle hold the second frame back until the pinner's reply.)
+    const net::Socket sock = fx.connect();
     Request doomed = flowRequest(2, R"(["s27"])", 4);
-    doomed.deadline_ms = 0.01; // expires long before the worker frees up
-    ASSERT_TRUE(net::writeFrame(late, doomed.toJson()));
+    doomed.deadline_ms = 1e-6; // any queue wait at all exceeds it
+    ASSERT_TRUE(net::writeAll(
+        sock, frameBytes(flowRequest(1, R"(["s27"])", 8).toJson()) + frameBytes(doomed.toJson())));
 
-    const std::optional<std::string> raw = net::readFrame(late);
+    std::optional<std::string> raw = net::readFrame(sock);
+    ASSERT_TRUE(raw.has_value());
+    const ParsedResponse pinned = parseResponse(*raw);
+    EXPECT_EQ(pinned.id, 1u);
+    EXPECT_TRUE(pinned.ok); // the pinner itself ran to completion
+    raw = net::readFrame(sock);
     ASSERT_TRUE(raw.has_value());
     const ParsedResponse resp = parseResponse(*raw);
+    EXPECT_EQ(resp.id, 2u);
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.error.code, "deadline_exceeded");
-    EXPECT_TRUE(roundTrip(pinner, Request{}).ok); // pinned job still completed
+    EXPECT_EQ(fx.server.stats().rejected_deadline, 1u);
 }
 
 TEST(ServeServer, MetricsReportsServeStats) {
