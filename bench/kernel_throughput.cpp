@@ -42,12 +42,12 @@ const Netlist& circuitFor(const ::benchmark::State& state) {
 
 void BM_EventSimFullEval(benchmark::State& state) {
     const Netlist& nl = circuitFor(state);
-    PatternSim sim(nl);
+    PackedSim sim(nl, 1);
     Rng rng(1);
     for (auto _ : state) {
-        for (const NetId pi : nl.pis()) sim.setNet(pi, PV{rng.next(), 0});
+        for (const NetId pi : nl.pis()) sim.setNet(pi, 0, PV{rng.next(), 0});
         for (const GateId ff : nl.flipFlops())
-            sim.setNet(nl.gate(ff).output, PV{rng.next(), 0});
+            sim.setNet(nl.gate(ff).output, 0, PV{rng.next(), 0});
         benchmark::DoNotOptimize(sim.propagate());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
@@ -119,10 +119,10 @@ BENCHMARK(BM_TransitionFaultSimThreads)
     ->Args({2, 0})
     ->Unit(benchmark::kMillisecond);
 
-// Word-packed PPSFP axis: range(1) is FaultSimOptions::words (0 = the
-// scalar PatternSim oracle). 512 tests so words=8 runs one full block and
-// the packed engine is not clamped; faults/sec appears as items_per_second
-// and the "/words:0" to "/words:W" ratio is the packing speedup.
+// Word-packed PPSFP axis: range(1) is FaultSimOptions::words. 512 tests so
+// words=8 runs one full block and the packed engine is not clamped;
+// faults/sec appears as items_per_second and the "/words:1" to "/words:W"
+// ratio is the packing speedup.
 void BM_TransitionFaultSimWords(benchmark::State& state) {
     const Netlist& nl = circuitFor(state);
     const auto tests = makeTests(nl, 512, 7, 8);
@@ -138,11 +138,9 @@ void BM_TransitionFaultSimWords(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionFaultSimWords)
     ->ArgNames({"circuit", "words"})
-    ->Args({1, 0})
     ->Args({1, 1})
     ->Args({1, 4})
     ->Args({1, 8})
-    ->Args({2, 0})
     ->Args({2, 8})
     ->Unit(benchmark::kMillisecond);
 
@@ -161,22 +159,22 @@ void BM_StuckAtFaultSimWords(benchmark::State& state) {
 }
 BENCHMARK(BM_StuckAtFaultSimWords)
     ->ArgNames({"circuit", "words"})
-    ->Args({1, 0})
+    ->Args({1, 1})
     ->Args({1, 8})
     ->Unit(benchmark::kMillisecond);
 
 // A/B pin for flh_benchdiff, which matches rows by (schema, name, threads):
-// the packed width comes from FLH_SIM_WORDS (default 8, 0 = the scalar
-// oracle), so a baseline run with FLH_SIM_WORDS=0 and a candidate run with
+// the packed width comes from FLH_SIM_WORDS (default 8, valid 1..8), so a
+// baseline run with FLH_SIM_WORDS=1 and a candidate run with
 // FLH_SIM_WORDS=8 share the row name and their faults/sec ratio is exactly
-// the packed-engine speedup on this machine.
+// the word-packing speedup on this machine.
 //
 // The pinned workload is the n-detect grading profile
 // (countTransitionDetections): with detection counting there is no fault
 // dropping, so every fault is graded against every block and the full
 // words*64-pattern width does real work per pass. This is the profile the
 // SDD-grading experiments consume. The detect-until-dropped variant — where
-// the scalar engine stops early on faults it detects in the first 64
+// a one-word run stops early on faults it detects in the first 64
 // patterns, so packing buys less — is tracked separately on the
 // BM_TransitionFaultSimWords axis.
 void BM_TransitionFaultSimPPSFP(benchmark::State& state) {

@@ -6,18 +6,20 @@
 //   flh_fuzz --check-corpus tests/corpus  # replay committed reproducers
 //
 // Every seed deterministically generates a random sequential circuit, scans
-// it, and cross-checks: a naive reference evaluator vs PatternSim, the
-// word-packed PackedSim at every --words width vs the same reference,
-// SequentialSim::clock vs the nextState oracle, the scalar serial engine vs
-// fault simulation at every --threads count x --words width (bitmaps and
-// n-detect counts), and the paper's Fig. 5b two-pattern protocol under
-// enhanced scan / MUX-hold / FLH vs direct evaluation. Any mismatch is greedily shrunk to a small .bench +
-// .pairs reproducer under --corpus and the run exits non-zero.
+// it, and cross-checks against a naive reference evaluator that shares no
+// code with the event-driven engine: PackedSim per-net values at W = 1 and
+// every --words width, SequentialSim::clock capture, and fault simulation
+// at every --threads count x width (stuck-at and transition bitmaps, n-detect
+// counts); plus the paper's Fig. 5b two-pattern protocol under enhanced
+// scan / MUX-hold / FLH vs direct evaluation. Any mismatch is greedily
+// shrunk to a small .bench + .pairs reproducer under --corpus and the run
+// exits non-zero.
 //
 // In --inject-mutant mode the FLH variant is deliberately corrupted (one gate
 // function flipped) and the exit codes invert: 0 means the checker caught the
 // mutant within the seed budget, 1 means it slept through — the guard against
 // a vacuously-passing checker.
+#include "cell/logic_block.hpp"
 #include "obs/benchio.hpp"
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
@@ -45,8 +47,9 @@ constexpr const char* kUsage = R"(usage: flh_fuzz [options]
   --max-faults N       fault-list cap per seed (default 96)
   --threads LIST       comma-separated thread counts to cross-check
                        (default 1,4)
-  --words LIST         comma-separated packed word widths to cross-check
-                       against the scalar words=0 oracle (default 1,4,8)
+  --words LIST         comma-separated packed word widths, each in [1, 8],
+                       to cross-check against the naive reference; width 1
+                       always runs (default 1,4,8)
   --corpus DIR         where shrunk reproducers are written
                        (default fuzz_corpus)
   --no-shrink          report mismatches without minimizing them
@@ -106,7 +109,13 @@ int main(int argc, char** argv) {
         else if (scan.is("--patterns")) opts.stuck_patterns = scan.num<std::size_t>();
         else if (scan.is("--max-faults")) opts.max_faults = scan.num<std::size_t>();
         else if (scan.is("--threads")) opts.thread_counts = scan.numList<unsigned>();
-        else if (scan.is("--words")) opts.word_widths = scan.numList<unsigned>();
+        else if (scan.is("--words")) {
+            opts.word_widths = scan.numList<unsigned>();
+            for (const unsigned w : opts.word_widths)
+                if (w < 1 || w > kMaxPackedWords)
+                    scan.usageError("--words: width " + std::to_string(w) +
+                                    " outside [1, " + std::to_string(kMaxPackedWords) + "]");
+        }
         else if (scan.is("--corpus")) opts.corpus_dir = scan.value();
         else if (scan.is("--no-shrink")) opts.shrink = false;
         else if (scan.is("--keep-going")) opts.stop_on_first = false;

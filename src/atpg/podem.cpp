@@ -5,7 +5,7 @@
 
 namespace flh {
 
-Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl), fsim_(nl) {
+Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl, 1), fsim_(nl, 1) {
     for (const NetId pi : nl.pis()) sources_.push_back(pi);
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
@@ -34,8 +34,8 @@ void Podem::resetState() {
     for (const NetId s : sources_) {
         if (frozen_[s] != Logic::X) {
             assigned_[s] = frozen_[s];
-            sim_.setNet(s, PV::all(frozen_[s]));
-            fsim_.setNet(s, PV::all(frozen_[s]));
+            sim_.setNet(s, 0, PV::all(frozen_[s]));
+            fsim_.setNet(s, 0, PV::all(frozen_[s]));
         }
     }
     sim_.propagate();
@@ -44,14 +44,14 @@ void Podem::resetState() {
 
 void Podem::assignSource(NetId source, Logic v) {
     assigned_[source] = v;
-    sim_.setNet(source, PV::all(v));
-    fsim_.setNet(source, PV::all(v));
+    sim_.setNet(source, 0, PV::all(v));
+    fsim_.setNet(source, 0, PV::all(v));
     sim_.propagate();
     fsim_.propagate();
 }
 
-Logic Podem::goodValue(NetId n) const { return sim_.get(n).get(0); }
-Logic Podem::faultyValue(NetId n) const { return fsim_.get(n).get(0); }
+Logic Podem::goodValue(NetId n) const { return sim_.get(n, 0, 0); }
+Logic Podem::faultyValue(NetId n) const { return fsim_.get(n, 0, 0); }
 
 bool Podem::hasD(NetId n) const {
     const Logic g = goodValue(n);
@@ -146,8 +146,8 @@ template <typename GoalFn, typename ObjectiveFn>
 PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Pattern& out) {
     const auto unassign = [&](NetId s) {
         assigned_[s] = Logic::X;
-        sim_.setNet(s, PV::all(Logic::X));
-        fsim_.setNet(s, PV::all(Logic::X));
+        sim_.setNet(s, 0, PV::all(Logic::X));
+        fsim_.setNet(s, 0, PV::all(Logic::X));
         sim_.propagate();
         fsim_.propagate();
     };

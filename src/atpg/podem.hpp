@@ -4,24 +4,20 @@
 // primary inputs and the flip-flop outputs (scan state); the observation
 // points are the primary outputs and the flip-flop D inputs.
 //
-// The implementation runs good and faulty machines side by side in two
-// pattern slots of the event-driven simulator, which gives the classical
-// D-algebra for free: a net carries "D" when the two slots hold definite,
-// different values. Backtracing uses a generic gate-agnostic objective rule
-// (try each unassigned input with each value; prefer the one that forces the
-// objective), so complex cells (AOI/OAI/MUX) need no special cases.
+// The implementation runs the good and the faulty machine as two separate
+// one-word PackedSims (W = 1; every slot carries the one candidate
+// assignment, slot 0 is read), the faulty one with the target fault
+// injected for the whole generation. Every source assignment is driven into
+// both machines and propagated event-driven. This gives the classical
+// D-algebra for free: a net carries "D" when the two machines hold
+// definite, different values. Backtracing uses a generic gate-agnostic
+// objective rule (try each unassigned input with each value; prefer the one
+// that forces the objective), so complex cells (AOI/OAI/MUX) need no special
+// cases.
 //
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
 // broadside justification pins the required next-state bits.
-//
-// Implication deliberately stays on the one-word PatternSim rather than the
-// word-packed PackedSim: PODEM implies a single candidate assignment at a
-// time (two slots of one word), so wider planes would only add memory
-// traffic. Grading the generated tests, by contrast, goes through the
-// packed engine via runStuckAtFaultSim / runTransitionFaultSim, whose
-// width clamp (ceil(n_patterns / 64)) keeps the one-test-at-a-time calls
-// on a single word automatically.
 #pragma once
 
 #include "fault/fault_sim.hpp"
@@ -91,8 +87,8 @@ private:
 
     const Netlist* nl_;
     PodemConfig cfg_;
-    PatternSim sim_;  ///< good machine
-    PatternSim fsim_; ///< faulty machine (fault injected during generate)
+    PackedSim sim_;  ///< good machine (W = 1)
+    PackedSim fsim_; ///< faulty machine (W = 1, fault injected during generate)
     std::vector<NetId> sources_;
     std::vector<Logic> frozen_;   ///< per net (X = not frozen)
     std::vector<Logic> assigned_; ///< per net (X = unassigned), sources only

@@ -44,7 +44,7 @@ namespace {
 BistResult runSession(const Netlist& nl, const BistConfig& cfg,
                       const std::optional<FaultSite>& fault) {
     SequentialSim seq(nl, cfg.style);
-    PatternSim& sim = seq.sim();
+    PackedSim& sim = seq.sim();
     if (fault) sim.injectFault(*fault);
     sim.enableToggleCount(true);
 

@@ -16,7 +16,7 @@ std::vector<Logic> combSnapshot(const SequentialSim& seq) {
     const Netlist& nl = seq.sim().netlist();
     std::vector<Logic> snap;
     snap.reserve(nl.topoOrder().size());
-    for (const GateId g : nl.topoOrder()) snap.push_back(seq.sim().get(nl.gate(g).output).get(0));
+    for (const GateId g : nl.topoOrder()) snap.push_back(seq.sim().get(nl.gate(g).output, 0, 0));
     return snap;
 }
 
@@ -54,7 +54,7 @@ ApplicationResult TwoPatternApplicator::apply(const TwoPattern& tp) {
     ApplicationResult res;
     SequentialSim seq(*nl_, style_);
     if (use_custom_gated_) seq.setFlhGatedGates(custom_gated_);
-    PatternSim& sim = seq.sim();
+    PackedSim& sim = seq.sim();
     sim.enableToggleCount(true);
 
     const std::size_t n = seq.ffCount();
@@ -110,7 +110,7 @@ ApplicationResult TwoPatternApplicator::apply(const TwoPattern& tp) {
     seq.setHolding(false);
     seq.settle();
     res.po_launch.reserve(nl_->pos().size());
-    for (const NetId po : nl_->pos()) res.po_launch.push_back(sim.get(po).get(0));
+    for (const NetId po : nl_->pos()) res.po_launch.push_back(sim.get(po, 0, 0));
     phase("launch", 1, true, mark);
 
     // Phase 5: capture at the rated clock.

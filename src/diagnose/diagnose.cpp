@@ -6,21 +6,17 @@ namespace flh {
 
 namespace {
 
-void loadPattern(PatternSim& sim, const Pattern& p) {
-    const Netlist& nl = sim.netlist();
-    for (std::size_t i = 0; i < nl.pis().size(); ++i)
-        sim.setNet(nl.pis()[i], PV::all(p.pis[i]));
-    for (std::size_t i = 0; i < nl.flipFlops().size(); ++i)
-        sim.setNet(nl.gate(nl.flipFlops()[i]).output, PV::all(p.state[i]));
+void settle(PackedSim& sim, const Pattern& p) {
+    loadPattern(sim, p);
     sim.propagate();
 }
 
-Response observe(const PatternSim& sim) {
+Response observe(const PackedSim& sim) {
     const Netlist& nl = sim.netlist();
     Response r;
     r.reserve(nl.pos().size() + nl.flipFlops().size());
-    for (const NetId po : nl.pos()) r.push_back(sim.get(po).get(0));
-    for (const GateId ff : nl.flipFlops()) r.push_back(sim.get(nl.gate(ff).inputs[0]).get(0));
+    for (const NetId po : nl.pos()) r.push_back(sim.get(po, 0, 0));
+    for (const GateId ff : nl.flipFlops()) r.push_back(sim.get(nl.gate(ff).inputs[0], 0, 0));
     return r;
 }
 
@@ -30,9 +26,9 @@ std::vector<Response> simulateGoodResponses(const Netlist& nl,
                                             std::span<const TwoPattern> tests) {
     std::vector<Response> out;
     out.reserve(tests.size());
-    PatternSim sim(nl);
+    PackedSim sim(nl, 1);
     for (const TwoPattern& tp : tests) {
-        loadPattern(sim, tp.v2);
+        settle(sim, tp.v2);
         out.push_back(observe(sim));
     }
     return out;
@@ -47,12 +43,12 @@ std::vector<Response> simulateFaultyResponses(const Netlist& nl,
     // die responds like the good machine.
     std::vector<Response> out;
     out.reserve(tests.size());
-    PatternSim sim_v1(nl);
-    PatternSim sim_v2(nl);
+    PackedSim sim_v1(nl, 1);
+    PackedSim sim_v2(nl, 1);
     for (const TwoPattern& tp : tests) {
-        loadPattern(sim_v1, tp.v1);
-        const bool launched = sim_v1.get(fault.net).get(0) == fault.initialValue();
-        loadPattern(sim_v2, tp.v2);
+        settle(sim_v1, tp.v1);
+        const bool launched = sim_v1.get(fault.net, 0, 0) == fault.initialValue();
+        settle(sim_v2, tp.v2);
         if (launched) {
             sim_v2.injectFault(fault.equivalentStuckAt());
             sim_v2.propagate();

@@ -38,16 +38,13 @@ std::vector<Pattern> randomPatterns(const Netlist& nl, std::size_t count, std::u
 }
 
 std::vector<Logic> nextState(const Netlist& nl, const Pattern& p) {
-    PatternSim sim(nl);
-    const auto& pis = nl.pis();
-    const auto& ffs = nl.flipFlops();
-    for (std::size_t k = 0; k < pis.size(); ++k) sim.setNet(pis[k], PV::all(p.pis.at(k)));
-    for (std::size_t k = 0; k < ffs.size(); ++k)
-        sim.setNet(nl.gate(ffs[k]).output, PV::all(p.state.at(k)));
+    PackedSim sim(nl, 1);
+    loadPattern(sim, p);
     sim.propagate();
+    const auto& ffs = nl.flipFlops();
     std::vector<Logic> next(ffs.size());
     for (std::size_t k = 0; k < next.size(); ++k)
-        next[k] = sim.get(nl.gate(ffs[k]).inputs[0]).get(0);
+        next[k] = sim.get(nl.gate(ffs[k]).inputs[0], 0, 0);
     return next;
 }
 

@@ -2,11 +2,11 @@
 //
 // Patterns are packed FaultSimOptions::words x 64 per simulator pass (the
 // word-packed engine in sim/packed_sim.hpp, evaluated by the
-// runtime-dispatched SIMD kernel; words = 0 selects the scalar 64-wide
-// PatternSim oracle); each candidate fault is then injected and its cone
-// re-propagated event-driven, comparing the observation points (primary
-// outputs + flip-flop D inputs — the full-scan capture view) against the
-// good machine. Every width produces bit-identical detected masks.
+// runtime-dispatched SIMD kernel); each candidate fault is then injected and
+// its cone re-propagated event-driven, comparing the observation points
+// (primary outputs + flip-flop D inputs — the full-scan capture view)
+// against the good machine. Every width produces bit-identical detected
+// masks, checked against the naive reference in verify/reference.hpp.
 //
 // Two-pattern (transition) tests follow the paper's application styles:
 //  * EnhancedScan (identical for FLH): V1 and V2 are arbitrary;
@@ -24,12 +24,6 @@
 namespace flh {
 
 class JsonWriter;
-
-/// One full-scan test pattern: primary-input values + scan state.
-struct Pattern {
-    std::vector<Logic> pis;
-    std::vector<Logic> state;
-};
 
 /// A two-pattern delay test.
 struct TwoPattern {

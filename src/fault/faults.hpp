@@ -14,7 +14,7 @@
 // this module lets the benches demonstrate that instead of asserting it.
 #pragma once
 
-#include "sim/pattern_sim.hpp"
+#include "sim/packed_sim.hpp"
 
 #include <string>
 #include <vector>

@@ -7,59 +7,13 @@
 #include <atomic>
 #include <bit>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 namespace flh {
 
 namespace {
-
-/// Load up to 64 patterns into the simulator (slot i = pattern i); missing
-/// slots repeat the last pattern so they never create spurious detections
-/// (their detection bits are masked off by `valid`).
-void loadPatterns(PatternSim& sim, std::span<const Pattern> pats, std::size_t base,
-                  std::size_t count) {
-    const Netlist& nl = sim.netlist();
-    const auto& pis = nl.pis();
-    const auto& ffs = nl.flipFlops();
-    for (std::size_t k = 0; k < pis.size(); ++k) {
-        PV v;
-        for (unsigned slot = 0; slot < 64; ++slot) {
-            const Pattern& p = pats[base + std::min<std::size_t>(slot, count - 1)];
-            v.set(slot, p.pis.at(k));
-        }
-        sim.setNet(pis[k], v);
-    }
-    for (std::size_t k = 0; k < ffs.size(); ++k) {
-        PV v;
-        for (unsigned slot = 0; slot < 64; ++slot) {
-            const Pattern& p = pats[base + std::min<std::size_t>(slot, count - 1)];
-            v.set(slot, p.state.at(k));
-        }
-        sim.setNet(nl.gate(ffs[k]).output, v);
-    }
-    sim.propagate();
-}
-
-/// Observation snapshot into a reusable buffer: POs then FF D nets.
-void observeInto(const PatternSim& sim, std::vector<PV>& out) {
-    const Netlist& nl = sim.netlist();
-    out.clear();
-    for (const NetId po : nl.pos()) out.push_back(sim.get(po));
-    for (const GateId ff : nl.flipFlops()) out.push_back(sim.get(nl.gate(ff).inputs[0]));
-}
-
-/// Slots where any observation point definitely differs.
-std::uint64_t diffMask(const std::vector<PV>& good, const std::vector<PV>& faulty) {
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < good.size(); ++i)
-        m |= (good[i].v ^ faulty[i].v) & ~good[i].x & ~faulty[i].x;
-    return m;
-}
-
-std::uint64_t validMask(std::size_t count) {
-    return count == 64 ? ~0ULL : ((1ULL << count) - 1);
-}
 
 /// One detection bit per fault, shared by every worker. Bits move only
 /// 0 -> 1 and each is written under the single-fault independence
@@ -74,6 +28,15 @@ public:
     }
     void set(std::size_t i) noexcept {
         words_[i >> 6].fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
+    }
+
+    /// The detected mask and count, after the pool has joined.
+    void copyTo(FaultSimResult& res) const {
+        for (std::size_t i = 0; i < res.detected_mask.size(); ++i)
+            if (test(i)) {
+                res.detected_mask[i] = true;
+                ++res.detected;
+            }
     }
 
 private:
@@ -167,16 +130,20 @@ void warmCaches(const Netlist& nl) {
     if (nl.netCount()) (void)nl.fanout(0);
 }
 
-// ---- packed (word-parallel) engine helpers -------------------------------
-
-/// Effective packed width for a run: 0 keeps the scalar PatternSim engine;
-/// otherwise clamp to the words the pattern count actually fills, so small
-/// runs (ATPG grading one test at a time) never propagate unused words.
+/// Effective packed width for a run: clamp to the words the pattern count
+/// actually fills, so small runs (ATPG grading one test at a time) never
+/// propagate unused words.
 unsigned effectiveWords(unsigned words, std::size_t n_patterns) {
-    if (words == 0) return 0;
     const std::size_t need = (n_patterns + 63) / 64;
     return static_cast<unsigned>(std::min<std::size_t>(
         {static_cast<std::size_t>(words), need, static_cast<std::size_t>(kMaxPackedWords)}));
+}
+
+/// words = 0 names no width; reject it up front (even with nothing to
+/// grade) rather than remap it to some other width.
+void checkWords(const FaultSimOptions& opts) {
+    if (opts.words == 0)
+        throw std::invalid_argument("FaultSimOptions::words must be >= 1, got 0");
 }
 
 /// Load up to words*64 patterns into the packed simulator (pattern i in
@@ -237,7 +204,8 @@ std::vector<std::uint8_t> observationFlags(const Netlist& nl) {
 std::uint64_t validMaskWord(std::size_t count, unsigned w) {
     const std::size_t lo = 64ULL * w;
     if (count <= lo) return 0;
-    return validMask(std::min<std::size_t>(count - lo, 64));
+    const std::size_t n = count - lo;
+    return n >= 64 ? ~0ULL : ((1ULL << n) - 1);
 }
 
 } // namespace
@@ -248,103 +216,57 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
     FaultSimResult res;
     res.total = faults.size();
     res.detected_mask.assign(faults.size(), false);
+    checkWords(opts);
     if (pats.empty() || faults.empty()) return res;
 
     warmCaches(nl);
     DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, pats.size());
     const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runPartitioned(
-            "stuck_at", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
-                PackedSim sim(nl, W);
-                const std::vector<std::uint8_t> is_obs = observationFlags(nl);
-                std::uint64_t diff[kMaxPackedWords];
-                std::uint64_t validw[kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                for (std::size_t base = 0; base < pats.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, pats.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    loadPatternsPacked(sim, pats, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (det.test(fi)) {
-                            ++tally.dropped;
-                            continue;
-                        }
-                        sim.injectFault(faults[fi]);
-                        sim.propagate();
-                        sim.faultDiffOnto(is_obs.data(), diff);
-                        sim.clearFault();
-                        ++tally.graded;
-                        std::uint64_t hit = 0;
-                        for (unsigned w = 0; w < W; ++w) hit |= diff[w] & validw[w];
-                        if (hit) {
-                            det.set(fi);
-                            ++tally.detected;
-                        }
+    runPartitioned(
+        "stuck_at", faults.size(), threads,
+        [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
+            if (lo == hi) return;
+            PackedSim sim(nl, W);
+            const std::vector<std::uint8_t> is_obs = observationFlags(nl);
+            std::uint64_t diff[kMaxPackedWords];
+            std::uint64_t validw[kMaxPackedWords];
+            const std::size_t block = 64ULL * W;
+            for (std::size_t base = 0; base < pats.size(); base += block) {
+                obs::ScopedSpan batch_span(
+                    obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                    "fault_sim.batch");
+                ++tally.batches;
+                const std::size_t count = std::min<std::size_t>(block, pats.size() - base);
+                for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
+                loadPatternsPacked(sim, pats, base, count);
+                for (std::size_t fi = lo; fi < hi; ++fi) {
+                    if (det.test(fi)) {
+                        ++tally.dropped;
+                        continue;
+                    }
+                    sim.injectFault(faults[fi]);
+                    sim.propagate();
+                    sim.faultDiffOnto(is_obs.data(), diff);
+                    sim.clearFault();
+                    ++tally.graded;
+                    std::uint64_t hit = 0;
+                    for (unsigned w = 0; w < W; ++w) hit |= diff[w] & validw[w];
+                    if (hit) {
+                        det.set(fi);
+                        ++tally.detected;
                     }
                 }
-            });
-
-        for (std::size_t fi = 0; fi < faults.size(); ++fi)
-            if (det.test(fi)) {
-                res.detected_mask[fi] = true;
-                ++res.detected;
             }
-        return res;
-    }
-    runPartitioned("stuck_at", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       PatternSim sim(nl);
-                       std::vector<PV> good;
-                       std::vector<PV> faulty;
-                       for (std::size_t base = 0; base < pats.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           loadPatterns(sim, pats, base, count);
-                           observeInto(sim, good);
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               if (det.test(fi)) {
-                                   ++tally.dropped;
-                                   continue;
-                               }
-                               sim.injectFault(faults[fi]);
-                               sim.propagate();
-                               observeInto(sim, faulty);
-                               const std::uint64_t hit = diffMask(good, faulty) & valid;
-                               sim.clearFault();
-                               ++tally.graded;
-                               if (hit) {
-                                   det.set(fi);
-                                   ++tally.detected;
-                               }
-                           }
-                       }
-                   });
+        });
 
-    for (std::size_t fi = 0; fi < faults.size(); ++fi)
-        if (det.test(fi)) {
-            res.detected_mask[fi] = true;
-            ++res.detected;
-        }
+    det.copyTo(res);
     return res;
 }
 
 namespace {
 
-/// Split two-pattern tests into the V1 / V2 pattern sequences the 64-wide
+/// Split two-pattern tests into the V1 / V2 pattern sequences the packed
 /// loader consumes.
 void splitPairs(std::span<const TwoPattern> tests, std::vector<Pattern>& v1s,
                 std::vector<Pattern>& v2s) {
@@ -356,43 +278,10 @@ void splitPairs(std::span<const TwoPattern> tests, std::vector<Pattern>& v1s,
     }
 }
 
-/// Batch detection mask for one transition fault: slots where V1 launches
-/// the transition (initial value established at the site) AND V2 propagates
-/// the equivalent stuck-at effect to an observation point.
-struct TransitionWorkerState {
-    PatternSim sim_v1;
-    PatternSim sim_v2;
-    std::vector<PV> good;
-    std::vector<PV> faulty;
-
-    explicit TransitionWorkerState(const Netlist& nl) : sim_v1(nl), sim_v2(nl) {}
-
-    void loadBatch(std::span<const Pattern> v1s, std::span<const Pattern> v2s,
-                   std::size_t base, std::size_t count) {
-        loadPatterns(sim_v1, v1s, base, count);
-        loadPatterns(sim_v2, v2s, base, count);
-        observeInto(sim_v2, good);
-    }
-
-    [[nodiscard]] std::uint64_t launchMask(const TransitionFault& tf) const {
-        const PV at_site = sim_v1.get(tf.net);
-        const std::uint64_t want_one = tf.initialValue() == Logic::One ? ~0ULL : 0;
-        return ~(at_site.v ^ want_one) & ~at_site.x;
-    }
-
-    [[nodiscard]] std::uint64_t detectMask(const TransitionFault& tf, std::uint64_t init_ok,
-                                           std::uint64_t valid) {
-        sim_v2.injectFault(tf.equivalentStuckAt());
-        sim_v2.propagate();
-        observeInto(sim_v2, faulty);
-        const std::uint64_t hit = diffMask(good, faulty) & init_ok & valid;
-        sim_v2.clearFault();
-        return hit;
-    }
-};
-
-/// Word-packed variant of TransitionWorkerState: same V1-launch / V2-detect
-/// split, per word. Detection runs against the V2 machine's undo log
+/// Per-word detection masks for one transition fault: slots where V1
+/// launches the transition (initial value established at the site) AND V2
+/// propagates the equivalent stuck-at effect to an observation point.
+/// Detection runs against the V2 machine's undo log
 /// (PackedSim::faultDiffOnto) instead of good/faulty observation snapshots.
 struct PackedTransitionState {
     PackedSim sim_v1;
@@ -450,6 +339,7 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
     FaultSimResult res;
     res.total = faults.size();
     res.detected_mask.assign(faults.size(), false);
+    checkWords(opts);
     if (tests.empty() || faults.empty()) return res;
 
     warmCaches(nl);
@@ -460,80 +350,39 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
     DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, tests.size());
     const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runPartitioned(
-            "transition", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
-                PackedTransitionState ws(nl, W);
-                std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t init_ok[kMaxPackedWords];
-                std::uint64_t hit[kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                for (std::size_t base = 0; base < tests.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    ws.loadBlock(v1s, v2s, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (det.test(fi)) {
-                            ++tally.dropped;
-                            continue;
-                        }
-                        if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
-                        ++tally.graded;
-                        if (ws.detectMask(faults[fi], init_ok, hit)) {
-                            det.set(fi);
-                            ++tally.detected;
-                        }
+    runPartitioned(
+        "transition", faults.size(), threads,
+        [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
+            if (lo == hi) return;
+            PackedTransitionState ws(nl, W);
+            std::uint64_t validw[kMaxPackedWords];
+            std::uint64_t init_ok[kMaxPackedWords];
+            std::uint64_t hit[kMaxPackedWords];
+            const std::size_t block = 64ULL * W;
+            for (std::size_t base = 0; base < tests.size(); base += block) {
+                obs::ScopedSpan batch_span(
+                    obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                    "fault_sim.batch");
+                ++tally.batches;
+                const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
+                for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
+                ws.loadBlock(v1s, v2s, base, count);
+                for (std::size_t fi = lo; fi < hi; ++fi) {
+                    if (det.test(fi)) {
+                        ++tally.dropped;
+                        continue;
+                    }
+                    if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
+                    ++tally.graded;
+                    if (ws.detectMask(faults[fi], init_ok, hit)) {
+                        det.set(fi);
+                        ++tally.detected;
                     }
                 }
-            });
-
-        for (std::size_t fi = 0; fi < faults.size(); ++fi)
-            if (det.test(fi)) {
-                res.detected_mask[fi] = true;
-                ++res.detected;
             }
-        return res;
-    }
-    runPartitioned("transition", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       TransitionWorkerState ws(nl);
-                       for (std::size_t base = 0; base < tests.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           ws.loadBatch(v1s, v2s, base, count);
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               if (det.test(fi)) {
-                                   ++tally.dropped;
-                                   continue;
-                               }
-                               const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                               if ((init_ok & valid) == 0) continue;
-                               ++tally.graded;
-                               if (ws.detectMask(faults[fi], init_ok, valid)) {
-                                   det.set(fi);
-                                   ++tally.detected;
-                               }
-                           }
-                       }
-                   });
+        });
 
-    for (std::size_t fi = 0; fi < faults.size(); ++fi)
-        if (det.test(fi)) {
-            res.detected_mask[fi] = true;
-            ++res.detected;
-        }
+    det.copyTo(res);
     return res;
 }
 
@@ -542,6 +391,7 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
                                                    std::span<const TransitionFault> faults,
                                                    const FaultSimOptions& opts) {
     std::vector<std::size_t> counts(faults.size(), 0);
+    checkWords(opts);
     if (tests.empty() || faults.empty()) return counts;
 
     warmCaches(nl);
@@ -553,57 +403,32 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
     // writes a disjoint slice of `counts`, so no synchronization is needed.
     const unsigned W = effectiveWords(opts.words, tests.size());
     const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runPartitioned(
-            "ndetect", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
-                PackedTransitionState ws(nl, W);
-                std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t init_ok[kMaxPackedWords];
-                std::uint64_t hit[kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                for (std::size_t base = 0; base < tests.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    ws.loadBlock(v1s, v2s, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
-                        ++tally.graded;
-                        ws.detectMask(faults[fi], init_ok, hit);
-                        for (unsigned w = 0; w < W; ++w)
-                            counts[fi] += static_cast<std::size_t>(std::popcount(hit[w]));
-                    }
+    runPartitioned(
+        "ndetect", faults.size(), threads,
+        [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
+            if (lo == hi) return;
+            PackedTransitionState ws(nl, W);
+            std::uint64_t validw[kMaxPackedWords];
+            std::uint64_t init_ok[kMaxPackedWords];
+            std::uint64_t hit[kMaxPackedWords];
+            const std::size_t block = 64ULL * W;
+            for (std::size_t base = 0; base < tests.size(); base += block) {
+                obs::ScopedSpan batch_span(
+                    obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                    "fault_sim.batch");
+                ++tally.batches;
+                const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
+                for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
+                ws.loadBlock(v1s, v2s, base, count);
+                for (std::size_t fi = lo; fi < hi; ++fi) {
+                    if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
+                    ++tally.graded;
+                    ws.detectMask(faults[fi], init_ok, hit);
+                    for (unsigned w = 0; w < W; ++w)
+                        counts[fi] += static_cast<std::size_t>(std::popcount(hit[w]));
                 }
-            });
-        return counts;
-    }
-    runPartitioned("ndetect", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       TransitionWorkerState ws(nl);
-                       for (std::size_t base = 0; base < tests.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           ws.loadBatch(v1s, v2s, base, count);
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                               if ((init_ok & valid) == 0) continue;
-                               ++tally.graded;
-                               counts[fi] += static_cast<std::size_t>(
-                                   std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
-                           }
-                       }
-                   });
+            }
+        });
     return counts;
 }
 

@@ -8,13 +8,14 @@
 // event-driven, compares observation points, and rolls the simulator back
 // through the recorded event frontier (clearFault).
 //
-// The default engine is the word-packed PPSFP simulator (sim/packed_sim.hpp):
-// a block is FaultSimOptions::words x 64 patterns, evaluated plane-wise by
-// the runtime-dispatched SIMD kernel (cell/logic_block.hpp). words = 0
-// selects the scalar 64-wide PatternSim path, kept as the differential
-// oracle; both produce bit-identical detected masks (the verdict is a pure
-// function of the pattern set). The packed width is clamped per run to
-// ceil(n_patterns / 64), so small pattern sets never pay for unused words.
+// The engine is the word-packed PPSFP simulator (sim/packed_sim.hpp): a
+// block is FaultSimOptions::words x 64 patterns, evaluated plane-wise by the
+// runtime-dispatched SIMD kernel (cell/logic_block.hpp). Every width
+// produces bit-identical detected masks (the verdict is a pure function of
+// the pattern set); the naive per-fault, per-pattern evaluator in
+// verify/reference.hpp is the independent oracle they are checked against.
+// The packed width is clamped per run to ceil(n_patterns / 64), so small
+// pattern sets never pay for unused words.
 //
 // Fault dropping is shared through an atomic detected bitmap: a worker sets
 // a fault's bit with a relaxed fetch_or on first detection and skips any
@@ -52,11 +53,10 @@ struct FaultSimOptions {
     std::size_t min_faults_per_worker = 64;
 
     /// 64-bit words per packed-simulation block: each propagation pass
-    /// grades words x 64 patterns (kMaxPackedWords max). 0 selects the
-    /// scalar one-word PatternSim engine — the differential oracle; any
-    /// width produces bit-identical detected masks. Values above
-    /// ceil(n_patterns / 64) are clamped, so the default never slows down
-    /// single-batch runs (e.g. ATPG grading one test at a time).
+    /// grades words x 64 patterns (kMaxPackedWords max). Any width produces
+    /// bit-identical detected masks. Values above ceil(n_patterns / 64) are
+    /// clamped, so the default never slows down single-batch runs (e.g.
+    /// ATPG grading one test at a time). 0 throws std::invalid_argument.
     unsigned words = 4;
 
     /// The unified policy view of the knobs above.

@@ -50,7 +50,7 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
     seq.setPis(pis);
     seq.settle();
 
-    PatternSim& sim = seq.sim();
+    PackedSim& sim = seq.sim();
     sim.enableToggleCount(true);
     sim.clearToggleCounts();
 
@@ -64,7 +64,7 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
         std::vector<PV> next = state;
         const auto& ffs = nl.flipFlops();
         for (std::size_t i = 0; i < ffs.size(); ++i) {
-            const PV d = sim.get(nl.gate(ffs[i]).inputs[0]);
+            const PV d = sim.get(nl.gate(ffs[i]).inputs[0], 0);
             const std::uint64_t hold = bernoulliMask(rng, cfg.ff_hold_prob);
             next[i] = PV{(state[i].v & hold) | (d.v & ~hold),
                          (state[i].x & hold) | (d.x & ~hold)};
@@ -125,7 +125,7 @@ ScanShiftPowerResult measureScanShiftPower(const Netlist& nl, HoldStyle style, i
     seq.setPis(randomPv(nl.pis().size(), rng));
     seq.settle();
 
-    PatternSim& sim = seq.sim();
+    PackedSim& sim = seq.sim();
     sim.enableToggleCount(true);
     sim.clearToggleCounts();
 

@@ -56,6 +56,7 @@ void PackedSim::reset() {
     scheduled_.assign(nl_->gateCount(), 0);
     for (GateId g = 0; g < nl_->gateCount(); ++g)
         if (isSequential(nl_->gate(g).fn)) scheduled_[g] = 1;
+    held_.assign(nl_->gateCount(), 0);
     queue_by_level_.assign(static_cast<std::size_t>(nl_->logicDepth()) + 1, {});
     min_pending_level_ = 0;
     fault_active_ = false;
@@ -159,6 +160,7 @@ std::size_t PackedSim::propagate() {
         for (std::size_t i = 0; i < q.size(); ++i) {
             const GateId g = q[i];
             scheduled_[g] = 0;
+            if (held_[g]) continue;
             const std::uint32_t in_lo = gin_off_[g];
             const std::size_t arity = gin_off_[g + 1] - in_lo;
             for (std::size_t p = 0; p < arity; ++p) {
@@ -188,6 +190,15 @@ std::size_t PackedSim::propagate() {
 std::size_t PackedSim::evalAll() {
     for (const GateId g : nl_->topoOrder()) schedule(g);
     return propagate();
+}
+
+void PackedSim::setHeld(GateId gate, bool held) {
+    held_.at(gate) = held ? 1 : 0;
+    if (!held) schedule(gate); // re-evaluate with current inputs on release
+}
+
+void PackedSim::setHeldAll(const std::vector<GateId>& gates, bool held) {
+    for (const GateId g : gates) setHeld(g, held);
 }
 
 void PackedSim::injectFault(const FaultSite& f) {
@@ -237,6 +248,15 @@ std::uint64_t PackedSim::totalToggles() const noexcept {
     std::uint64_t sum = 0;
     for (const std::uint64_t t : toggles_) sum += t;
     return sum;
+}
+
+void loadPattern(PackedSim& sim, const Pattern& p) {
+    const Netlist& nl = sim.netlist();
+    if (p.pis.size() != nl.pis().size() || p.state.size() != nl.flipFlops().size())
+        throw std::invalid_argument("pattern shape mismatch for " + nl.name());
+    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], 0, PV::all(p.pis[k]));
+    for (std::size_t k = 0; k < p.state.size(); ++k)
+        sim.setNet(nl.gate(nl.flipFlops()[k]).output, 0, PV::all(p.state[k]));
 }
 
 } // namespace flh

@@ -1,33 +1,56 @@
-// Word-packed levelized event-driven logic simulator: W x 64 patterns wide.
+// Levelized event-driven logic simulator, W x 64 patterns wide.
 //
-// PackedSim generalizes PatternSim's 64-slot PPSFP pass to W machine words
-// per net (W in [1, kMaxPackedWords], i.e. up to 512 patterns per pass).
-// Each net carries two planes of W words — value and unknown — stored
-// plane-major per net ([net * W, net * W + W)), so a gate evaluation is W
-// plane-wise bitwise ops handled by the runtime-dispatched SIMD kernel in
-// cell/logic_block.hpp. Slots are addressed as (word, slot) pairs: pattern
-// p lives in word p / 64, slot p % 64.
+// PackedSim is the repository's one event-driven engine. Each net carries
+// two planes of W machine words (W in [1, kMaxPackedWords], i.e. up to 512
+// patterns per pass) — value and unknown — stored plane-major per net
+// ([net * W, net * W + W)), so a gate evaluation is W plane-wise bitwise ops
+// handled by the runtime-dispatched SIMD kernel in cell/logic_block.hpp.
+// Slots are addressed as (word, slot) pairs: pattern p lives in word p / 64,
+// slot p % 64. Only gates whose inputs actually changed are re-evaluated,
+// in level order, so a pass costs O(affected gates).
 //
-// The fault-simulation semantics mirror PatternSim exactly (same event
-// scheduling, same single-fault injection with an event-frontier undo log,
-// same Kleene formulas), which is what makes the packed engine bit-identical
-// to the scalar oracle — enforced by tests/packed_sim_test.cpp and the
-// flh_fuzz cross-engine differential checks. Gate holding (FLH supply
-// gating) is deliberately not modelled here; scan-shift simulation stays on
-// PatternSim.
+// It serves, at the width each caller needs:
+//  * word-packed PPSFP fault grading (fault/parallel_sim.hpp): single-fault
+//    injection, event-driven propagation of the faulty cone, and rollback
+//    through an event-frontier undo log;
+//  * ATPG implication (PODEM's good and faulty machines, W = 1);
+//  * clocked and scan-shift simulation with the paper's holding semantics
+//    (sim/sequential.hpp, W = 1): a held gate simply does not re-evaluate,
+//    exactly what FLH's supply gating does;
+//  * normal-mode and scan-shift power analysis (toggle counting).
 //
-// Toggle counting follows the fixed PatternSim semantics: flips are only
-// counted while no fault is active, so faulty excursions never contaminate
-// the power numbers built on totalToggles().
+// Toggle counting is suspended while a fault is active, so faulty
+// excursions never contaminate the power numbers built on totalToggles().
+//
+// The naive topological evaluator in verify/reference.hpp shares no event
+// code with this engine and is its independent oracle.
 #pragma once
 
 #include "cell/logic_block.hpp"
-#include "sim/pattern_sim.hpp"
+#include "netlist/netlist.hpp"
 
 #include <cstdint>
 #include <vector>
 
 namespace flh {
+
+/// A single stuck-at fault site: a net (output fault) or one gate input pin
+/// (input fault). `pin < 0` means the fault is on the net itself.
+struct FaultSite {
+    NetId net = kInvalidId;
+    GateId gate = kInvalidId; ///< receiving gate for pin faults
+    int pin = -1;
+    bool stuck_at_one = false;
+
+    [[nodiscard]] bool isPinFault() const noexcept { return pin >= 0; }
+    [[nodiscard]] bool operator==(const FaultSite&) const noexcept = default;
+};
+
+/// One full-scan test pattern: primary-input values + scan state.
+struct Pattern {
+    std::vector<Logic> pis;
+    std::vector<Logic> state;
+};
 
 class PackedSim {
 public:
@@ -38,10 +61,14 @@ public:
     [[nodiscard]] const Netlist& netlist() const noexcept { return *nl_; }
     [[nodiscard]] unsigned words() const noexcept { return words_; }
 
-    /// Reset every net to X in every word, clear fault state and toggles.
+    /// Reset every net to X in every word, clear holds, fault state and
+    /// toggles.
     void reset();
 
     /// Set one 64-slot word of a source net and schedule affected gates.
+    /// Setting an internal net is allowed (fault-injection tests) but is
+    /// overwritten by its driver on the next propagate unless the driver is
+    /// held.
     void setNet(NetId net, unsigned word, PV value);
 
     [[nodiscard]] PV get(NetId net, unsigned word) const {
@@ -68,12 +95,28 @@ public:
     /// Schedule every combinational gate, then propagate.
     std::size_t evalAll();
 
+    // ---- holding (FLH supply gating / enhanced-scan freeze) -------------
+    /// A held gate keeps its current output: propagate() pops it and skips
+    /// it while held, and releasing it reschedules it so it re-evaluates
+    /// with its current inputs. This is the simulator-level model of a
+    /// supply-gated first-level gate whose keeper retains the output state.
+    void setHeld(GateId gate, bool held);
+    void setHeldAll(const std::vector<GateId>& gates, bool held);
+    [[nodiscard]] bool isHeld(GateId gate) const { return held_.at(gate) != 0; }
+
     // ---- single-fault injection (PPSFP) ---------------------------------
-    /// Same contract as PatternSim::injectFault: the stuck value applies to
-    /// every slot of every word; inject from a quiescent state. While the
-    /// fault is active, first-touch pre-fault planes are recorded so
-    /// clearFault can restore the exact state without re-propagating.
+    /// Activate a stuck-at fault for subsequent propagation; the stuck value
+    /// applies to every slot of every word. Inject from a quiescent (fully
+    /// propagated) state. While the fault is active every net change
+    /// records the net's first-touch pre-fault planes in an undo log.
     void injectFault(const FaultSite& f);
+
+    /// Deactivate the fault and roll the simulator back to the exact state
+    /// it had at injectFault by restoring the recorded event frontier: only
+    /// the nets the faulty excursion touched are written, nothing is
+    /// re-evaluated. setNet calls made while the fault was active are rolled
+    /// back too; sessions that keep a fault active permanently (BIST, PODEM)
+    /// discard the log via reset() instead.
     void clearFault();
 
     /// Per-word detection diff against the pre-fault state: for every net
@@ -126,6 +169,7 @@ private:
     std::vector<std::uint32_t> gin_off_;  ///< gateCount + 1 offsets
     std::vector<NetId> gin_net_;          ///< input nets, CSR payload
     std::vector<std::uint8_t> scheduled_;
+    std::vector<std::uint8_t> held_;
     std::vector<std::vector<GateId>> queue_by_level_;
     int min_pending_level_ = 0;
 
@@ -141,5 +185,10 @@ private:
     bool count_toggles_ = false;
     std::vector<std::uint64_t> toggles_;
 };
+
+/// Drive a scalar pattern onto word 0 of `sim`: every slot of each PI, then
+/// each FF Q net, gets the pattern's bit. Does not propagate. Throws
+/// std::invalid_argument if the pattern's shape does not match the netlist.
+void loadPattern(PackedSim& sim, const Pattern& p);
 
 } // namespace flh

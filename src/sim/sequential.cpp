@@ -16,7 +16,7 @@ const char* toString(HoldStyle s) noexcept {
 }
 
 SequentialSim::SequentialSim(const Netlist& nl, HoldStyle style)
-    : sim_(nl), style_(style), ffs_(nl.flipFlops()), first_level_(nl.uniqueFirstLevelGates()) {
+    : sim_(nl, 1), style_(style), ffs_(nl.flipFlops()), first_level_(nl.uniqueFirstLevelGates()) {
     state_.assign(ffs_.size(), PV::all(Logic::X));
 }
 
@@ -27,18 +27,19 @@ void SequentialSim::setState(const std::vector<PV>& state) {
 }
 
 void SequentialSim::setPi(std::size_t index, PV v) {
-    sim_.setNet(sim_.netlist().pis().at(index), v);
+    sim_.setNet(sim_.netlist().pis().at(index), 0, v);
 }
 
 void SequentialSim::setPis(const std::vector<PV>& pis) {
     const auto& nets = sim_.netlist().pis();
     if (pis.size() != nets.size()) throw std::invalid_argument("pi count mismatch");
-    for (std::size_t i = 0; i < pis.size(); ++i) sim_.setNet(nets[i], pis[i]);
+    for (std::size_t i = 0; i < pis.size(); ++i) sim_.setNet(nets[i], 0, pis[i]);
 }
 
 void SequentialSim::driveQ() {
     const Netlist& nl = sim_.netlist();
-    for (std::size_t i = 0; i < ffs_.size(); ++i) sim_.setNet(nl.gate(ffs_[i]).output, state_[i]);
+    for (std::size_t i = 0; i < ffs_.size(); ++i)
+        sim_.setNet(nl.gate(ffs_[i]).output, 0, state_[i]);
 }
 
 void SequentialSim::settle() { sim_.propagate(); }
@@ -46,7 +47,8 @@ void SequentialSim::settle() { sim_.propagate(); }
 void SequentialSim::clock() {
     const Netlist& nl = sim_.netlist();
     settle();
-    for (std::size_t i = 0; i < ffs_.size(); ++i) state_[i] = sim_.get(nl.gate(ffs_[i]).inputs[0]);
+    for (std::size_t i = 0; i < ffs_.size(); ++i)
+        state_[i] = sim_.get(nl.gate(ffs_[i]).inputs[0], 0);
     driveQ();
     settle();
 }
@@ -111,8 +113,8 @@ std::vector<PV> SequentialSim::observe() const {
     const Netlist& nl = sim_.netlist();
     std::vector<PV> out;
     out.reserve(nl.pos().size() + ffs_.size());
-    for (const NetId po : nl.pos()) out.push_back(sim_.get(po));
-    for (const GateId ff : ffs_) out.push_back(sim_.get(nl.gate(ff).inputs[0]));
+    for (const NetId po : nl.pos()) out.push_back(sim_.get(po, 0));
+    for (const GateId ff : ffs_) out.push_back(sim_.get(nl.gate(ff).inputs[0], 0));
     return out;
 }
 

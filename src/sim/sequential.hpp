@@ -1,5 +1,6 @@
-// Sequential (clocked) simulation on top of PatternSim: normal-mode vector
-// application and scan-chain operation with the paper's holding semantics.
+// Sequential (clocked) simulation on top of a one-word PackedSim (64 pattern
+// slots advancing in lockstep): normal-mode vector application and
+// scan-chain operation with the paper's holding semantics.
 //
 // Scan shifting is where the three DFT styles differ (Section IV):
 //  * None          — a plain scan FF drives the logic directly, so every
@@ -14,7 +15,7 @@
 //                    propagates past level 1.
 #pragma once
 
-#include "sim/pattern_sim.hpp"
+#include "sim/packed_sim.hpp"
 
 #include <cstdint>
 #include <vector>
@@ -31,8 +32,9 @@ class SequentialSim {
 public:
     explicit SequentialSim(const Netlist& nl, HoldStyle style = HoldStyle::None);
 
-    [[nodiscard]] PatternSim& sim() noexcept { return sim_; }
-    [[nodiscard]] const PatternSim& sim() const noexcept { return sim_; }
+    /// The underlying one-word engine (read and write word 0).
+    [[nodiscard]] PackedSim& sim() noexcept { return sim_; }
+    [[nodiscard]] const PackedSim& sim() const noexcept { return sim_; }
     [[nodiscard]] HoldStyle style() const noexcept { return style_; }
     [[nodiscard]] std::size_t ffCount() const noexcept { return ffs_.size(); }
 
@@ -78,7 +80,7 @@ public:
 private:
     void driveQ();
 
-    PatternSim sim_;
+    PackedSim sim_;
     HoldStyle style_;
     std::vector<GateId> ffs_;
     std::vector<GateId> first_level_;

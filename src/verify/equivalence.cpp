@@ -11,15 +11,6 @@ namespace flh {
 
 namespace {
 
-void applyPattern(PatternSim& sim, const Pattern& p) {
-    const Netlist& nl = sim.netlist();
-    if (p.pis.size() != nl.pis().size() || p.state.size() != nl.flipFlops().size())
-        throw std::invalid_argument("pattern shape mismatch for " + nl.name());
-    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], PV::all(p.pis[k]));
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, PV::all(p.state[k]));
-}
-
 /// Compare two Logic vectors; X compares equal only to X (the oracle and the
 /// protocol must agree even about what is unknown).
 void compareBits(const std::vector<Logic>& expected, const std::vector<Logic>& got,
@@ -69,12 +60,12 @@ const Netlist& VariantNetlists::forStyle(HoldStyle s, const Netlist& reference) 
 }
 
 std::vector<Logic> expectedPoResponse(const Netlist& nl, const Pattern& p) {
-    PatternSim sim(nl);
-    applyPattern(sim, p);
+    PackedSim sim(nl, 1);
+    loadPattern(sim, p);
     sim.evalAll();
     std::vector<Logic> out;
     out.reserve(nl.pos().size());
-    for (const NetId po : nl.pos()) out.push_back(sim.get(po).get(0));
+    for (const NetId po : nl.pos()) out.push_back(sim.get(po, 0, 0));
     return out;
 }
 

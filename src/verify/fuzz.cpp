@@ -6,11 +6,13 @@
 #include "sim/packed_sim.hpp"
 #include "util/rng.hpp"
 #include "verify/corpus.hpp"
+#include "verify/reference.hpp"
 #include "verify/shrink.hpp"
 
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 namespace flh {
 
@@ -19,61 +21,18 @@ namespace {
 constexpr std::uint64_t kPairSeedMix = 0xD1B54A32D192ED03ULL;
 constexpr std::uint64_t kEngineSeedMix = 0x8CB92BA72F3D8DD7ULL;
 
-/// Naive scalar reference evaluation: one pattern, gate by gate in topo
-/// order through evalCellScalar. Shares nothing with the event-driven
-/// engine beyond the cell truth tables.
-std::vector<Logic> refEval(const Netlist& nl, const Pattern& p) {
-    std::vector<Logic> val(nl.netCount(), Logic::X);
-    for (std::size_t k = 0; k < p.pis.size(); ++k) val[nl.pis()[k]] = p.pis[k];
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        val[nl.gate(nl.flipFlops()[k]).output] = p.state[k];
-    std::vector<Logic> ins;
-    for (const GateId g : nl.topoOrder()) {
-        const Gate& gate = nl.gate(g);
-        ins.clear();
-        for (const NetId in : gate.inputs) ins.push_back(val[in]);
-        val[gate.output] = evalCellScalar(gate.fn, ins);
-    }
-    return val;
+/// Word widths every engine check runs: W = 1 (the width PODEM and
+/// SequentialSim run at) first, then every other requested width.
+std::vector<unsigned> widthsUnderTest(const FuzzOptions& opts) {
+    std::vector<unsigned> ws{1};
+    for (const unsigned w : opts.word_widths)
+        if (std::find(ws.begin(), ws.end(), w) == ws.end()) ws.push_back(w);
+    return ws;
 }
 
-/// Pack the V1 halves of up to 64 pairs into one PatternSim pass and compare
-/// every net of every slot against the scalar reference.
-bool perNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
-                    std::string* detail) {
-    const std::size_t n = std::min<std::size_t>(pairs.size(), 64);
-    if (n == 0) return false;
-    PatternSim sim(nl);
-    for (std::size_t k = 0; k < nl.pis().size(); ++k) {
-        PV v;
-        for (unsigned i = 0; i < n; ++i) v.set(i, pairs[i].v1.pis[k]);
-        sim.setNet(nl.pis()[k], v);
-    }
-    for (std::size_t k = 0; k < nl.flipFlops().size(); ++k) {
-        PV v;
-        for (unsigned i = 0; i < n; ++i) v.set(i, pairs[i].v1.state[k]);
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, v);
-    }
-    sim.evalAll();
-    for (unsigned i = 0; i < n; ++i) {
-        const std::vector<Logic> ref = refEval(nl, pairs[i].v1);
-        for (NetId net = 0; net < nl.netCount(); ++net) {
-            if (sim.get(net).get(i) == ref[net]) continue;
-            if (detail) {
-                std::ostringstream os;
-                os << "net " << nl.net(net).name << " slot " << i << ": reference "
-                   << toChar(ref[net]) << ", PatternSim " << toChar(sim.get(net).get(i));
-                *detail = os.str();
-            }
-            return true;
-        }
-    }
-    return false;
-}
-
-/// PackedSim (word-packed SIMD engine) vs the scalar reference, at every
-/// requested word width. The first pattern is replaced by an all-X vector so
-/// the widest Kleene case is always present, the list is padded by
+/// PackedSim (word-packed SIMD engine) vs the naive reference, at W = 1 and
+/// every requested word width. The first pattern is replaced by an all-X
+/// vector so the widest Kleene case is always present, the list is padded by
 /// repeating the last pattern (as the fault-sim loaders do), and the padded
 /// tail slot of the last word is checked too.
 bool packedPerNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
@@ -88,8 +47,7 @@ bool packedPerNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pair
     refs.reserve(pats.size());
     for (const Pattern& p : pats) refs.push_back(refEval(nl, p));
 
-    for (const unsigned W : opts.word_widths) {
-        if (W < 1 || W > kMaxPackedWords) continue;
+    for (const unsigned W : widthsUnderTest(opts)) {
         PackedSim sim(nl, W);
         const auto loadSource = [&](NetId net, auto&& bit) {
             for (unsigned w = 0; w < W; ++w) {
@@ -130,6 +88,7 @@ bool packedPerNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pair
     return false;
 }
 
+/// SequentialSim::clock vs the FF D values of the naive reference.
 bool seqCaptureMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                         std::string* detail) {
     for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
@@ -143,29 +102,16 @@ bool seqCaptureMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
         seq.setPis(pis);
         seq.settle();
         seq.clock();
-        const std::vector<Logic> oracle = nextState(nl, p);
-        for (std::size_t k = 0; k < oracle.size(); ++k) {
-            if (seq.state()[k].get(0) == oracle[k]) continue;
+        const std::vector<Logic> ref = refEval(nl, p);
+        for (std::size_t k = 0; k < seq.ffCount(); ++k) {
+            const Logic want = ref[nl.gate(nl.flipFlops()[k]).inputs[0]];
+            if (seq.state()[k].get(0) == want) continue;
             if (detail) {
                 std::ostringstream os;
-                os << "pair " << pi << " FF " << k << ": nextState " << toChar(oracle[k])
+                os << "pair " << pi << " FF " << k << ": reference " << toChar(want)
                    << ", SequentialSim::clock " << toChar(seq.state()[k].get(0));
                 *detail = os.str();
             }
-            return true;
-        }
-    }
-    return false;
-}
-
-bool masksDiffer(const std::vector<bool>& a, const std::vector<bool>& b, std::size_t* where) {
-    if (a.size() != b.size()) {
-        if (where) *where = 0;
-        return true;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i] != b[i]) {
-            if (where) *where = i;
             return true;
         }
     }
@@ -221,17 +167,38 @@ FaultSimOptions poolOptions(unsigned threads, unsigned words) {
     return o;
 }
 
-/// The scalar single-threaded engine (words = 0) every other configuration
-/// must match bit for bit.
-FaultSimOptions scalarOracle() { return poolOptions(1, 0); }
+/// First fault whose engine verdict differs from the reference's, if any.
+template <typename T>
+std::optional<std::size_t> firstDifference(const std::vector<T>& want, const std::vector<T>& got) {
+    for (std::size_t i = 0; i < want.size(); ++i)
+        if (i >= got.size() || got[i] != want[i]) return i;
+    return std::nullopt;
+}
 
-/// words = 0 first (thread determinism of the oracle itself), then every
-/// requested packed width.
-std::vector<unsigned> widthsUnderTest(const FuzzOptions& opts) {
-    std::vector<unsigned> ws{0};
-    for (const unsigned w : opts.word_widths)
-        if (w >= 1 && w <= kMaxPackedWords) ws.push_back(w);
-    return ws;
+/// Run `engine` with the options of every requested thread count x word
+/// width and compare each per-fault result against `want`.
+template <typename T, typename Fault, typename Engine>
+bool engineMismatch(const Netlist& nl, const std::vector<Fault>& faults,
+                    const std::vector<T>& want, const FuzzOptions& opts, const Engine& engine,
+                    std::string* detail) {
+    for (const unsigned t : opts.thread_counts) {
+        for (const unsigned w : widthsUnderTest(opts)) {
+            const std::vector<T> got = engine(poolOptions(t, w));
+            const std::optional<std::size_t> where = firstDifference(want, got);
+            if (!where) continue;
+            if (detail) {
+                std::ostringstream os;
+                os << "threads=" << t << " words=" << w << " fault "
+                   << toString(nl, faults[*where]) << ": reference " << want[*where]
+                   << ", engine "
+                   << (*where < got.size() ? std::to_string(got[*where])
+                                           : std::string("<missing>"));
+                *detail = os.str();
+            }
+            return true;
+        }
+    }
+    return false;
 }
 
 bool stuckBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
@@ -240,75 +207,38 @@ bool stuckBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs
     pats.reserve(pairs.size());
     for (const TwoPattern& tp : pairs) pats.push_back(tp.v1);
     const std::vector<FaultSite> faults = stuckFaults(nl, opts.max_faults);
-    const FaultSimResult serial = runStuckAtFaultSim(nl, pats, faults, scalarOracle());
-    for (const unsigned t : opts.thread_counts) {
-        for (const unsigned w : widthsUnderTest(opts)) {
-            const FaultSimResult par = runStuckAtFaultSim(nl, pats, faults, poolOptions(t, w));
-            std::size_t where = 0;
-            if (masksDiffer(serial.detected_mask, par.detected_mask, &where)) {
-                if (detail) {
-                    std::ostringstream os;
-                    os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[where]) << ": scalar serial "
-                       << serial.detected_mask[where] << ", engine "
-                       << par.detected_mask[where];
-                    *detail = os.str();
-                }
-                return true;
-            }
-        }
-    }
-    return false;
+    std::vector<bool> want;
+    for (const std::vector<bool>& per_pattern : refStuckAtDetections(nl, pats, faults))
+        want.push_back(std::find(per_pattern.begin(), per_pattern.end(), true) !=
+                       per_pattern.end());
+    return engineMismatch(
+        nl, faults, want, opts,
+        [&](const FaultSimOptions& o) {
+            return runStuckAtFaultSim(nl, pats, faults, o).detected_mask;
+        },
+        detail);
 }
 
 bool transitionBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                               const FuzzOptions& opts, std::string* detail) {
     const std::vector<TransitionFault> faults = transitionFaults(nl, opts.max_faults);
-    const FaultSimResult serial = runTransitionFaultSim(nl, pairs, faults, scalarOracle());
-    for (const unsigned t : opts.thread_counts) {
-        for (const unsigned w : widthsUnderTest(opts)) {
-            const FaultSimResult par = runTransitionFaultSim(nl, pairs, faults, poolOptions(t, w));
-            std::size_t where = 0;
-            if (masksDiffer(serial.detected_mask, par.detected_mask, &where)) {
-                if (detail) {
-                    std::ostringstream os;
-                    os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[where]) << ": scalar serial "
-                       << serial.detected_mask[where] << ", engine "
-                       << par.detected_mask[where];
-                    *detail = os.str();
-                }
-                return true;
-            }
-        }
-    }
-    return false;
+    std::vector<bool> want;
+    for (const std::size_t n : refTransitionDetections(nl, pairs, faults)) want.push_back(n > 0);
+    return engineMismatch(
+        nl, faults, want, opts,
+        [&](const FaultSimOptions& o) {
+            return runTransitionFaultSim(nl, pairs, faults, o).detected_mask;
+        },
+        detail);
 }
 
 bool nDetectMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                      const FuzzOptions& opts, std::string* detail) {
     const std::vector<TransitionFault> faults = transitionFaults(nl, opts.max_faults);
-    const std::vector<std::size_t> serial =
-        countTransitionDetections(nl, pairs, faults, scalarOracle());
-    for (const unsigned t : opts.thread_counts) {
-        for (const unsigned w : widthsUnderTest(opts)) {
-            const std::vector<std::size_t> par =
-                countTransitionDetections(nl, pairs, faults, poolOptions(t, w));
-            for (std::size_t i = 0; i < serial.size(); ++i) {
-                if (par.size() == serial.size() && par[i] == serial[i]) continue;
-                if (detail) {
-                    std::ostringstream os;
-                    os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[i]) << ": scalar serial " << serial[i]
-                       << " detections, engine "
-                       << (i < par.size() ? std::to_string(par[i]) : std::string("<missing>"));
-                    *detail = os.str();
-                }
-                return true;
-            }
-        }
-    }
-    return false;
+    return engineMismatch(
+        nl, faults, refTransitionDetections(nl, pairs, faults), opts,
+        [&](const FaultSimOptions& o) { return countTransitionDetections(nl, pairs, faults, o); },
+        detail);
 }
 
 /// Inject some X bits so Kleene propagation is fuzzed too (the fault-sim
@@ -364,6 +294,11 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
         return l;
     }();
 
+    for (const unsigned w : opts.word_widths)
+        if (w < 1 || w > kMaxPackedWords)
+            throw std::invalid_argument("runFuzz: word width " + std::to_string(w) +
+                                        " outside [1, " + std::to_string(kMaxPackedWords) + "]");
+
     FuzzReport rep;
     for (std::uint64_t seed = opts.start_seed; seed < opts.start_seed + opts.seeds; ++seed) {
         obs::ScopedSpan seed_span("seed-" + std::to_string(seed), "verify.seed");
@@ -391,11 +326,6 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
         }
 
         const std::vector<CheckDef> checks = {
-            {"per-net",
-             [](const Netlist& n, const std::vector<TwoPattern>& ps) {
-                 return perNetMismatch(n, ps, nullptr);
-             },
-             &x_pairs},
             {"packed-pernet",
              [&opts](const Netlist& n, const std::vector<TwoPattern>& ps) {
                  return packedPerNetMismatch(n, ps, opts, nullptr);
@@ -441,8 +371,7 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
 
             // Re-run the detailed probe for the report text.
             std::string detail;
-            if (finding.check == "per-net") perNetMismatch(scanned, *check.pairs, &detail);
-            else if (finding.check == "packed-pernet")
+            if (finding.check == "packed-pernet")
                 packedPerNetMismatch(scanned, *check.pairs, opts, &detail);
             else if (finding.check == "seq-capture")
                 seqCaptureMismatch(scanned, *check.pairs, &detail);

@@ -3,20 +3,20 @@
 // A seeded loop over random circuit specs; each seed cross-checks every
 // independent computation of the same fact the repository offers:
 //
-//  1. per-net values — a naive scalar topological evaluator (written here,
-//     sharing no code with the event-driven engine) vs PatternSim::evalAll,
-//     on several pattern slots including X-laden ones;
-//  2. packed per-net values — the word-packed PackedSim (SIMD kernel) vs the
-//     same scalar reference at every requested word width, including an
-//     all-X pattern and the padded tail slots;
-//  3. sequential capture — SequentialSim::clock vs the nextState oracle;
-//  4. detection bitmaps — the scalar serial stuck-at / transition engine
-//     (words = 0) vs the engine at every requested thread count x word
-//     width (threads forced into a real pool via min_items_per_worker = 1),
-//     mask bit for mask bit, with stuck-at sites on PI and PO nets always
-//     present in the fault list;
-//  5. n-detect counts — countTransitionDetections across thread counts and
-//     word widths;
+//  1. packed per-net values — PackedSim (the one event-driven engine, SIMD
+//     kernel) vs the naive reference evaluator (verify/reference.hpp, which
+//     shares no code with it) at W = 1 and every requested word width, on
+//     X-laden patterns including an all-X one and the padded tail slots;
+//  2. sequential capture — SequentialSim::clock vs the reference's FF D
+//     values;
+//  3. stuck-at detection bitmaps — the reference's per-fault, per-pattern
+//     verdicts vs runStuckAtFaultSim at every requested thread count x word
+//     width, W = 1 always included (threads forced into a real pool via
+//     min_items_per_worker = 1), mask bit for mask bit, with stuck-at sites
+//     on PI and PO nets always present in the fault list;
+//  4. transition detection bitmaps — the same against runTransitionFaultSim;
+//  5. n-detect counts — the reference's transition n-detect counts vs
+//     countTransitionDetections across the same thread counts and widths;
 //  6. DFT equivalence — the Fig. 5b protocol under enhanced scan, MUX-hold,
 //     and FLH vs direct evaluation (verify/equivalence.hpp), on random and
 //     ATPG-generated pairs.
@@ -47,9 +47,10 @@ struct FuzzOptions {
     std::size_t max_faults = 96; ///< fault-list cap per seed (cost control)
     std::vector<unsigned> thread_counts{1, 4};
 
-    /// Packed word widths to cross-check against the scalar (words = 0)
-    /// oracle; each bitmap/n-detect check runs every width at every thread
-    /// count, plus words = 0 itself (pure thread-determinism of the oracle).
+    /// Packed word widths to cross-check against the naive reference, each
+    /// in [1, kMaxPackedWords] (runFuzz throws std::invalid_argument
+    /// otherwise). The per-net and bitmap/n-detect checks run W = 1 plus
+    /// every width listed here, at every thread count.
     std::vector<unsigned> word_widths{1, 4, 8};
 
     bool shrink = true;
@@ -65,8 +66,8 @@ struct FuzzOptions {
 
 struct FuzzFinding {
     std::uint64_t seed = 0;
-    std::string check; ///< "per-net", "packed-pernet", "seq-capture",
-                       ///< "stuck-bitmap", "transition-bitmap", "n-detect",
+    std::string check; ///< "packed-pernet", "seq-capture", "stuck-bitmap",
+                       ///< "transition-bitmap", "n-detect",
                        ///< "dft-equivalence"
     std::string detail;
     std::string bench_path; ///< written reproducer (empty when not shrunk)

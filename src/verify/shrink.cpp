@@ -11,12 +11,10 @@ namespace {
 
 /// Settled value of `net` under pattern `p`, slot 0.
 Logic settledValue(const Netlist& nl, const Pattern& p, NetId net) {
-    PatternSim sim(nl);
-    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], PV::all(p.pis[k]));
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, PV::all(p.state[k]));
+    PackedSim sim(nl, 1);
+    loadPattern(sim, p);
     sim.evalAll();
-    return sim.get(net).get(0);
+    return sim.get(net, 0, 0);
 }
 
 } // namespace

@@ -120,13 +120,10 @@ TEST(Podem, JustifyEstablishesValue) {
         // Verify by simulation.
         Rng rng(29);
         fillRandom(p, rng);
-        PatternSim sim(nl);
-        for (std::size_t i = 0; i < nl.pis().size(); ++i)
-            sim.setNet(nl.pis()[i], PV::all(p.pis[i]));
-        for (std::size_t i = 0; i < nl.flipFlops().size(); ++i)
-            sim.setNet(nl.gate(nl.flipFlops()[i]).output, PV::all(p.state[i]));
+        PackedSim sim(nl, 1);
+        loadPattern(sim, p);
         sim.propagate();
-        EXPECT_EQ(sim.get(g10).get(0), v);
+        EXPECT_EQ(sim.get(g10, 0, 0), v);
     }
 }
 

@@ -374,8 +374,8 @@ TEST(Netlist, CopyIsIndependent) {
 
 TEST(Netlist, WideCombGateRejectedAtConstruction) {
     // Regression: a library can legally carry a cell wider than the
-    // simulators' fixed input buffers (kMaxGateArity); the netlist layer must
-    // reject such gates at addGate time, not crash in PatternSim::propagate.
+    // simulator's fixed input buffers (kMaxGateArity); the netlist layer must
+    // reject such gates at addGate time, not crash in PackedSim::propagate.
     Library wide = makeDefaultLibrary();
     Cell and9;
     and9.name = "AND9";
@@ -405,7 +405,7 @@ Logic evalNets(const Netlist& nl, const std::vector<Logic>& pi_vals, NetId out) 
 }
 
 TEST(BenchIo, WideGatesDecomposeToLibraryArities) {
-    // Regression for the PatternSim ins[kMaxGateArity] overflow: a 9-input
+    // Regression for the simulator's kMaxGateArity input-buffer overflow: a 9-input
     // .bench gate must be tree-decomposed into library-available arities
     // rather than constructing an out-of-range gate.
     std::string text;

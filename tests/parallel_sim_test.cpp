@@ -2,6 +2,7 @@
 
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
+#include "verify/reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,23 @@ TEST(FaultSimOptions, ResolveThreadsGuardsDegenerateKnobs) {
     opts.min_faults_per_worker = 1;
     EXPECT_GE(ExecPolicy::hardwareThreads(), 1u);
     EXPECT_EQ(opts.resolveThreads(1u << 20), ExecPolicy::hardwareThreads());
+}
+
+TEST(FaultSimOptions, ZeroWordsIsRejected) {
+    // words = 0 is an error, not a silent remap to some other width — even
+    // when there is nothing to grade.
+    const Netlist nl = makeS27(lib());
+    const auto pats = randomPatterns(nl, 8, 3);
+    const auto faults = collapsedStuckAtFaults(nl);
+    const auto tests = arbitraryPairs(nl, 8, 5);
+    const auto tfaults = allTransitionFaults(nl);
+    FaultSimOptions opts;
+    opts.words = 0;
+    EXPECT_THROW((void)runStuckAtFaultSim(nl, pats, faults, opts), std::invalid_argument);
+    EXPECT_THROW((void)runTransitionFaultSim(nl, tests, tfaults, opts), std::invalid_argument);
+    EXPECT_THROW((void)countTransitionDetections(nl, tests, tfaults, opts),
+                 std::invalid_argument);
+    EXPECT_THROW((void)runStuckAtFaultSim(nl, {}, faults, opts), std::invalid_argument);
 }
 
 TEST(FaultSimOptions, ExecPolicyViewMirrorsLegacyFields) {
@@ -192,23 +210,22 @@ TEST(ParallelFaultSim, MoreThreadsThanFaults) {
 
 TEST(ParallelFaultSim, DeterministicAcrossThreadsAndWordWidths) {
     // The detected bitmap is a pure function of the pattern set: every
-    // (threads, words) combination — scalar oracle included — must agree.
+    // (threads, words) combination must agree with the naive reference.
     Netlist nl = makeCircuit("s344", lib());
     insertScan(nl);
     const auto faults = allTransitionFaults(nl);
     const auto tests = arbitraryPairs(nl, 150, 17);
 
-    FaultSimOptions oracle;
-    oracle.words = 0;
-    const FaultSimResult want = runTransitionFaultSim(nl, tests, faults, oracle);
-    const auto want_counts = countTransitionDetections(nl, tests, faults, oracle);
+    const auto want_counts = refTransitionDetections(nl, tests, faults);
+    std::vector<bool> want_mask;
+    for (const std::size_t n : want_counts) want_mask.push_back(n > 0);
 
     for (const unsigned threads : {1u, 2u, 4u}) {
-        for (const unsigned words : {0u, 1u, 4u, 8u}) {
+        for (const unsigned words : {1u, 4u, 8u}) {
             FaultSimOptions opts = threaded(threads);
             opts.words = words;
             const FaultSimResult got = runTransitionFaultSim(nl, tests, faults, opts);
-            ASSERT_EQ(got.detected_mask, want.detected_mask)
+            ASSERT_EQ(got.detected_mask, want_mask)
                 << "threads " << threads << " words " << words;
             ASSERT_EQ(countTransitionDetections(nl, tests, faults, opts), want_counts)
                 << "threads " << threads << " words " << words;

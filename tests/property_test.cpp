@@ -51,11 +51,11 @@ std::vector<PV> randomSources(const Netlist& nl, Rng& rng) {
     return s;
 }
 
-void applySources(PatternSim& sim, const std::vector<PV>& src) {
+void applySources(PackedSim& sim, const std::vector<PV>& src) {
     const Netlist& nl = sim.netlist();
     std::size_t k = 0;
-    for (const NetId pi : nl.pis()) sim.setNet(pi, src[k++]);
-    for (const GateId ff : nl.flipFlops()) sim.setNet(nl.gate(ff).output, src[k++]);
+    for (const NetId pi : nl.pis()) sim.setNet(pi, 0, src[k++]);
+    for (const GateId ff : nl.flipFlops()) sim.setNet(nl.gate(ff).output, 0, src[k++]);
 }
 
 class RandomCircuit : public ::testing::TestWithParam<std::uint64_t> {};
@@ -78,8 +78,8 @@ TEST_P(RandomCircuit, StructurallyValid) {
 TEST_P(RandomCircuit, BenchRoundTripPreservesFunction) {
     const Netlist nl = randomCircuit(GetParam());
     const Netlist back = readBenchString(writeBenchString(nl), nl.name(), lib());
-    PatternSim a(nl);
-    PatternSim b(back);
+    PackedSim a(nl, 1);
+    PackedSim b(back, 1);
     Rng rng(GetParam() ^ 0xBEEF);
     for (int round = 0; round < 4; ++round) {
         const auto src = randomSources(nl, rng);
@@ -91,14 +91,14 @@ TEST_P(RandomCircuit, BenchRoundTripPreservesFunction) {
         for (NetId n = 0; n < nl.netCount(); ++n) {
             const auto id_b = back.findNet(nl.net(n).name);
             ASSERT_TRUE(id_b.has_value());
-            ASSERT_EQ(a.get(n), b.get(*id_b)) << nl.net(n).name;
+            ASSERT_EQ(a.get(n, 0), b.get(*id_b, 0)) << nl.net(n).name;
         }
     }
 }
 
 TEST_P(RandomCircuit, EventDrivenEqualsFreshEvaluation) {
     const Netlist nl = randomCircuit(GetParam());
-    PatternSim incremental(nl);
+    PackedSim incremental(nl, 1);
     Rng rng(GetParam() ^ 0xF00D);
     auto src = randomSources(nl, rng);
     applySources(incremental, src);
@@ -110,10 +110,11 @@ TEST_P(RandomCircuit, EventDrivenEqualsFreshEvaluation) {
         applySources(incremental, src);
         incremental.propagate();
 
-        PatternSim fresh(nl);
+        PackedSim fresh(nl, 1);
         applySources(fresh, src);
         fresh.propagate();
-        for (NetId n = 0; n < nl.netCount(); ++n) ASSERT_EQ(incremental.get(n), fresh.get(n));
+        for (NetId n = 0; n < nl.netCount(); ++n)
+            ASSERT_EQ(incremental.get(n, 0), fresh.get(n, 0));
     }
 }
 
@@ -130,17 +131,17 @@ TEST_P(RandomCircuit, KleeneInformationMonotonicity) {
             x_positions.push_back(i);
         }
     }
-    PatternSim partial(nl);
+    PackedSim partial(nl, 1);
     applySources(partial, src);
     partial.propagate();
     // Resolve every X randomly.
     for (const std::size_t i : x_positions) src[i] = PV{rng.next(), 0};
-    PatternSim full(nl);
+    PackedSim full(nl, 1);
     applySources(full, src);
     full.propagate();
     for (NetId n = 0; n < nl.netCount(); ++n) {
-        const PV p = partial.get(n);
-        const PV f = full.get(n);
+        const PV p = partial.get(n, 0);
+        const PV f = full.get(n, 0);
         // Wherever partial was definite, full must agree.
         const std::uint64_t definite = ~p.x;
         ASSERT_EQ(f.x & definite, 0u) << nl.net(n).name;
@@ -246,13 +247,13 @@ TEST_P(RandomCircuit, FlhHoldFreezesLogicUnderAnyShiftSequence) {
     seq.settle();
 
     std::vector<PV> before;
-    for (const GateId g : nl.topoOrder()) before.push_back(seq.sim().get(nl.gate(g).output));
+    for (const GateId g : nl.topoOrder()) before.push_back(seq.sim().get(nl.gate(g).output, 0));
 
     seq.setHolding(true);
     for (int i = 0; i < 40; ++i) seq.shift(PV{rng.next(), 0});
     std::size_t k = 0;
     for (const GateId g : nl.topoOrder())
-        ASSERT_EQ(seq.sim().get(nl.gate(g).output), before[k++]);
+        ASSERT_EQ(seq.sim().get(nl.gate(g).output, 0), before[k++]);
 }
 
 TEST_P(RandomCircuit, FanoutOptimizerPreservesFunction) {
@@ -265,8 +266,8 @@ TEST_P(RandomCircuit, FanoutOptimizerPreservesFunction) {
     EXPECT_LE(r.delay_after_ps, r.delay_before_ps + 1e-6);
 
     // Functional equivalence at every PO and FF D input.
-    PatternSim a(original);
-    PatternSim b(optimized);
+    PackedSim a(original, 1);
+    PackedSim b(optimized, 1);
     Rng rng(GetParam() ^ 0xE01);
     for (int round = 0; round < 6; ++round) {
         const auto src = randomSources(original, rng);
@@ -278,12 +279,12 @@ TEST_P(RandomCircuit, FanoutOptimizerPreservesFunction) {
             const NetId po_a = original.pos()[i];
             const auto po_b = optimized.findNet(original.net(po_a).name);
             ASSERT_TRUE(po_b.has_value());
-            ASSERT_EQ(a.get(po_a), b.get(*po_b));
+            ASSERT_EQ(a.get(po_a, 0), b.get(*po_b, 0));
         }
         for (std::size_t i = 0; i < original.flipFlops().size(); ++i) {
             const NetId d_a = original.gate(original.flipFlops()[i]).inputs[0];
             const NetId d_b = optimized.gate(optimized.flipFlops()[i]).inputs[0];
-            ASSERT_EQ(a.get(d_a), b.get(d_b));
+            ASSERT_EQ(a.get(d_a, 0), b.get(d_b, 0));
         }
     }
 }

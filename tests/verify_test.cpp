@@ -11,7 +11,7 @@
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/pattern_sim.hpp"
+#include "sim/packed_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -54,13 +54,11 @@ bool pairsEqual(const std::vector<TwoPattern>& a, const std::vector<TwoPattern>&
 /// Settled value of every net for one pattern, keyed by net name (so
 /// original and gate-removed netlists can be compared structurally).
 std::map<std::string, Logic> settledValues(const Netlist& nl, const Pattern& p) {
-    PatternSim sim(nl);
-    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], PV::all(p.pis[k]));
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, PV::all(p.state[k]));
+    PackedSim sim(nl, 1);
+    loadPattern(sim, p);
     sim.evalAll();
     std::map<std::string, Logic> out;
-    for (NetId n = 0; n < nl.netCount(); ++n) out[nl.net(n).name] = sim.get(n).get(0);
+    for (NetId n = 0; n < nl.netCount(); ++n) out[nl.net(n).name] = sim.get(n, 0, 0);
     return out;
 }
 
@@ -285,7 +283,7 @@ TEST(FuzzTest, SmokeSeedsRunClean) {
     const FuzzReport rep = runFuzz(opts);
     ASSERT_TRUE(rep.ok()) << rep.findings.front().check << ": " << rep.findings.front().detail;
     EXPECT_EQ(rep.seeds_run, 6u);
-    EXPECT_EQ(rep.checks_run, 6u * 7u); // seven checks per seed
+    EXPECT_EQ(rep.checks_run, 6u * 6u); // six checks per seed
 }
 
 // ---- shrinker ----------------------------------------------------------
