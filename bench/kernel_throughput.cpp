@@ -11,6 +11,7 @@
 // output directory honors --out / FLH_BENCH_OUT.
 #include "bench_util.hpp"
 #include "analog/flh_chain.hpp"
+#include "atpg/podem.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
@@ -161,6 +162,47 @@ BENCHMARK(BM_StuckAtFaultSimWords)
     ->ArgNames({"circuit", "words"})
     ->Args({1, 1})
     ->Args({1, 8})
+    ->Unit(benchmark::kMillisecond);
+
+// PODEM top-off, the flow's hot path: generate() on the equivalent stuck-at
+// fault of every transition fault that survives 256 random pairs, as the
+// transition ATPG's deterministic phase does (without its justification and
+// grading). range(1) caps the survivor count so an iteration stays within
+// tens of milliseconds. Faults/sec appears as items_per_second; the
+// decision count, deterministic per fault list, is read once from the
+// atpg.podem.decisions telemetry counter and reported as decisions/s.
+void BM_PodemTopoff(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    const auto faults = allTransitionFaults(nl);
+    const FaultSimResult random = runTransitionFaultSim(nl, makeTests(nl, 256, 11, 12), faults);
+    std::vector<FaultSite> survivors;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+        if (!random.detected_mask[i] &&
+            survivors.size() < static_cast<std::size_t>(state.range(1)))
+            survivors.push_back(faults[i].equivalentStuckAt());
+    Podem podem(nl);
+    Pattern p;
+    const auto runAll = [&] {
+        for (const FaultSite& f : survivors) benchmark::DoNotOptimize(podem.generate(f, p));
+    };
+    obs::Counter& decisions = obs::counter("atpg.podem.decisions");
+    const bool was_enabled = obs::enabled();
+    obs::setEnabled(true);
+    const std::uint64_t before = decisions.value();
+    runAll();
+    const auto per_iter = static_cast<double>(decisions.value() - before);
+    obs::setEnabled(was_enabled);
+    for (auto _ : state) runAll();
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(survivors.size()));
+    state.counters["decisions_per_second"] = benchmark::Counter(
+        per_iter * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+    state.counters["faults"] = static_cast<double>(survivors.size());
+}
+BENCHMARK(BM_PodemTopoff)
+    ->ArgNames({"circuit", "faults"})
+    ->Args({0, 100})
+    ->Args({1, 40})
     ->Unit(benchmark::kMillisecond);
 
 // A/B pin for flh_benchdiff, which matches rows by (schema, name, threads):

@@ -1,11 +1,13 @@
 #include "atpg/podem.hpp"
 
+#include "obs/telemetry.hpp"
+
 #include <cassert>
 #include <stdexcept>
 
 namespace flh {
 
-Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl, 1), fsim_(nl, 1) {
+Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl, 1) {
     for (const NetId pi : nl.pis()) sources_.push_back(pi);
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
@@ -26,32 +28,40 @@ bool Podem::isSource(NetId n) const {
 
 void Podem::resetState() {
     sim_.reset();
-    fsim_.reset();
     assigned_.assign(nl_->netCount(), Logic::X);
     stack_.clear();
     backtracks_ = 0;
-    if (fault_active_) fsim_.injectFault(fault_);
+    decisions_ = 0;
+    gate_evals_ = 0;
+    if (fault_active_) sim_.injectFault(fault_, kFaultySlot);
     for (const NetId s : sources_) {
         if (frozen_[s] != Logic::X) {
             assigned_[s] = frozen_[s];
             sim_.setNet(s, 0, PV::all(frozen_[s]));
-            fsim_.setNet(s, 0, PV::all(frozen_[s]));
         }
     }
-    sim_.propagate();
-    fsim_.propagate();
+    gate_evals_ += sim_.propagate();
 }
 
 void Podem::assignSource(NetId source, Logic v) {
     assigned_[source] = v;
     sim_.setNet(source, 0, PV::all(v));
-    fsim_.setNet(source, 0, PV::all(v));
-    sim_.propagate();
-    fsim_.propagate();
+    gate_evals_ += sim_.propagate();
+}
+
+void Podem::flushCounters() const {
+    static obs::Counter& calls = obs::counter("atpg.podem.calls");
+    static obs::Counter& decisions = obs::counter("atpg.podem.decisions");
+    static obs::Counter& backtracks = obs::counter("atpg.podem.backtracks");
+    static obs::Counter& gate_evals = obs::counter("atpg.podem.gate_evals");
+    calls.add();
+    decisions.add(decisions_);
+    backtracks.add(backtracks_);
+    gate_evals.add(gate_evals_);
 }
 
 Logic Podem::goodValue(NetId n) const { return sim_.get(n, 0, 0); }
-Logic Podem::faultyValue(NetId n) const { return fsim_.get(n, 0, 0); }
+Logic Podem::faultyValue(NetId n) const { return sim_.get(n, 0, 1); }
 
 bool Podem::hasD(NetId n) const {
     const Logic g = goodValue(n);
@@ -101,28 +111,26 @@ std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
     return std::nullopt;
 }
 
-std::vector<GateId> Podem::dFrontier() const {
-    std::vector<GateId> out;
+std::optional<std::pair<NetId, Logic>> Podem::frontierObjective() const {
     for (const GateId g : nl_->topoOrder()) {
         const Gate& gate = nl_->gate(g);
-        if (goodValue(gate.output) != Logic::X && faultyValue(gate.output) != Logic::X &&
-            goodValue(gate.output) == faultyValue(gate.output))
-            continue;
-        if (hasD(gate.output)) continue; // already propagated past this gate
-        bool d_in = false;
-        for (const NetId in : gate.inputs)
-            if (hasD(in)) {
-                d_in = true;
-                break;
-            }
+        // Both machines settled: equal, or D already propagated past here.
+        if (goodValue(gate.output) != Logic::X && faultyValue(gate.output) != Logic::X) continue;
         // A pin fault creates its difference *inside* the receiving gate:
         // the input net itself never carries D.
-        if (!d_in && fault_active_ && fault_.isPinFault() && fault_.gate == g &&
-            goodValue(fault_.net) != Logic::X)
-            d_in = true;
-        if (d_in) out.push_back(g);
+        bool d_in = fault_active_ && fault_.isPinFault() && fault_.gate == g &&
+                    goodValue(fault_.net) != Logic::X;
+        for (std::size_t p = 0; p < gate.inputs.size() && !d_in; ++p) d_in = hasD(gate.inputs[p]);
+        if (!d_in) continue;
+        // Set an X input to its non-controlling-ish value (backtrace fixes
+        // bad guesses); a frontier gate with no X input is skipped.
+        for (const NetId in : gate.inputs)
+            if (goodValue(in) == Logic::X)
+                return std::make_pair(in, (gate.fn == CellFn::And || gate.fn == CellFn::Nand)
+                                              ? Logic::One
+                                              : Logic::Zero);
     }
-    return out;
+    return std::nullopt; // frontier empty or saturated
 }
 
 bool Podem::faultObserved() const {
@@ -144,13 +152,6 @@ Pattern Podem::extractPattern() const {
 
 template <typename GoalFn, typename ObjectiveFn>
 PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Pattern& out) {
-    const auto unassign = [&](NetId s) {
-        assigned_[s] = Logic::X;
-        sim_.setNet(s, 0, PV::all(Logic::X));
-        fsim_.setNet(s, 0, PV::all(Logic::X));
-        sim_.propagate();
-        fsim_.propagate();
-    };
     const auto backtrack = [&]() -> bool {
         ++backtracks_;
         while (!stack_.empty()) {
@@ -161,7 +162,7 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
                 assignSource(d.source, d.value);
                 return true;
             }
-            unassign(d.source);
+            assignSource(d.source, Logic::X);
             stack_.pop_back();
         }
         return false;
@@ -192,6 +193,7 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
             if (!backtrack()) return PodemOutcome::Untestable;
             continue;
         }
+        ++decisions_;
         stack_.push_back(Decision{assign->first, assign->second, false});
         assignSource(assign->first, assign->second);
     }
@@ -213,24 +215,13 @@ PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
     const auto next_objective = [&]() -> std::optional<std::pair<NetId, Logic>> {
         // 1) Activate the fault.
         if (goodValue(fault.net) == Logic::X) return std::make_pair(fault.net, activate);
-        // 2) Advance the D-frontier: set an X input of a frontier gate to
-        //    its non-controlling-ish value (backtrace fixes bad guesses).
-        const auto frontier = dFrontier();
-        for (const GateId g : frontier) {
-            const Gate& gate = nl_->gate(g);
-            for (const NetId in : gate.inputs) {
-                if (goodValue(in) != Logic::X) continue;
-                const Logic nc = (gate.fn == CellFn::And || gate.fn == CellFn::Nand)
-                                     ? Logic::One
-                                     : Logic::Zero;
-                return std::make_pair(in, nc);
-            }
-        }
-        return std::nullopt; // frontier empty or saturated
+        // 2) Advance the D-frontier.
+        return frontierObjective();
     };
 
     const PodemOutcome r = decisionLoop(goal, next_objective, out);
     fault_active_ = false;
+    flushCounters();
     return r;
 }
 
@@ -260,7 +251,9 @@ PodemOutcome Podem::justifyAll(const std::vector<std::pair<NetId, Logic>>& objec
             if (goodValue(net) == Logic::X) return std::make_pair(net, v);
         return std::nullopt;
     };
-    return decisionLoop(goal, next_objective, out);
+    const PodemOutcome r = decisionLoop(goal, next_objective, out);
+    flushCounters();
+    return r;
 }
 
 } // namespace flh

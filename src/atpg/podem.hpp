@@ -4,16 +4,16 @@
 // primary inputs and the flip-flop outputs (scan state); the observation
 // points are the primary outputs and the flip-flop D inputs.
 //
-// The implementation runs the good and the faulty machine as two separate
-// one-word PackedSims (W = 1; every slot carries the one candidate
-// assignment, slot 0 is read), the faulty one with the target fault
-// injected for the whole generation. Every source assignment is driven into
-// both machines and propagated event-driven. This gives the classical
-// D-algebra for free: a net carries "D" when the two machines hold
-// definite, different values. Backtracing uses a generic gate-agnostic
-// objective rule (try each unassigned input with each value; prefer the one
-// that forces the objective), so complex cells (AOI/OAI/MUX) need no special
-// cases.
+// The implementation runs the good and the faulty machine in one one-word
+// PackedSim (W = 1): every slot carries the one candidate assignment, slot 0
+// is the good machine and slot 1 the faulty one, with the target fault
+// injected into slot 1 only for the whole generation. Each source
+// assignment is driven once and propagated event-driven through both
+// machines in the same gate evaluations. This gives the classical D-algebra
+// for free: a net carries "D" when the two slots hold definite, different
+// values. Backtracing uses a generic gate-agnostic objective rule (try each
+// unassigned input with each value; prefer the one that forces the
+// objective), so complex cells (AOI/OAI/MUX) need no special cases.
 //
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
@@ -73,8 +73,9 @@ private:
     /// Walk an objective back to an unassigned, unfrozen source.
     [[nodiscard]] std::optional<std::pair<NetId, Logic>> backtrace(NetId net, Logic v);
 
-    /// Gates with D on an input and X on the output.
-    [[nodiscard]] std::vector<GateId> dFrontier() const;
+    /// The first X input of the first D-frontier gate (D on an input, X on
+    /// the output) in topological order, with the value to try on it.
+    [[nodiscard]] std::optional<std::pair<NetId, Logic>> frontierObjective() const;
 
     /// True if some observation point carries D.
     [[nodiscard]] bool faultObserved() const;
@@ -85,15 +86,21 @@ private:
 
     Pattern extractPattern() const;
 
+    /// Add this call's totals to the atpg.podem.{calls, decisions,
+    /// backtracks, gate_evals} telemetry counters.
+    void flushCounters() const;
+
     const Netlist* nl_;
     PodemConfig cfg_;
-    PackedSim sim_;  ///< good machine (W = 1)
-    PackedSim fsim_; ///< faulty machine (W = 1, fault injected during generate)
+    static constexpr std::uint64_t kFaultySlot = 0b10; ///< slot mask of the faulty machine
+    PackedSim sim_; ///< W = 1: good machine in slot 0, faulty in slot 1
     std::vector<NetId> sources_;
     std::vector<Logic> frozen_;   ///< per net (X = not frozen)
     std::vector<Logic> assigned_; ///< per net (X = unassigned), sources only
     std::vector<Decision> stack_;
     std::size_t backtracks_ = 0;
+    std::size_t decisions_ = 0;  ///< new decisions pushed (flips not counted)
+    std::size_t gate_evals_ = 0; ///< sum of propagate() returns
     bool fault_active_ = false;
     FaultSite fault_{};
 };

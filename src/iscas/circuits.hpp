@@ -59,4 +59,9 @@ struct CircuitSpec {
 /// genuine netlist).
 [[nodiscard]] Netlist makeCircuit(const std::string& name, const Library& lib);
 
+// The netlists keep a pointer to `lib`: a temporary library would dangle.
+Netlist makeS27(const Library&&) = delete;
+Netlist generateCircuit(const CircuitSpec&, const Library&&) = delete;
+Netlist makeCircuit(const std::string&, const Library&&) = delete;
+
 } // namespace flh

@@ -16,11 +16,15 @@
 namespace flh {
 
 /// Parse a .bench netlist. Throws std::runtime_error with a line number on
-/// malformed input.
+/// malformed input. The netlist keeps a pointer to `lib`, so a temporary
+/// library is rejected at compile time.
 [[nodiscard]] Netlist readBench(std::istream& in, const std::string& name, const Library& lib);
 [[nodiscard]] Netlist readBenchString(const std::string& text, const std::string& name,
                                       const Library& lib);
 [[nodiscard]] Netlist readBenchFile(const std::string& path, const Library& lib);
+Netlist readBench(std::istream&, const std::string&, const Library&&) = delete;
+Netlist readBenchString(const std::string&, const std::string&, const Library&&) = delete;
+Netlist readBenchFile(const std::string&, const Library&&) = delete;
 
 /// Serialize a netlist back to .bench. Round-trips with readBench.
 void writeBench(std::ostream& os, const Netlist& nl);

@@ -43,7 +43,10 @@ struct Gate {
 
 class Netlist {
 public:
+    /// The netlist keeps a pointer to `lib`, which must outlive it; a
+    /// temporary library would dangle, so rvalues are rejected.
     Netlist(std::string name, const Library& lib);
+    Netlist(std::string name, const Library&& lib) = delete;
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     void setName(std::string n) { name_ = std::move(n); }

@@ -94,13 +94,18 @@ void PackedSim::recordUndo(NetId net) {
 }
 
 void PackedSim::applyValue(NetId net, const std::uint64_t* nv, const std::uint64_t* nx) {
-    static constexpr std::uint64_t kZeroPlane[kMaxPackedWords] = {};
-    const std::uint64_t stuck_v = fault_.stuck_at_one ? ~0ULL : 0;
     std::uint64_t forced_v[kMaxPackedWords];
+    std::uint64_t forced_x[kMaxPackedWords];
     if (fault_active_ && !fault_.isPinFault() && fault_.net == net) {
-        for (unsigned w = 0; w < words_; ++w) forced_v[w] = stuck_v;
+        // The stuck value is fully known: x plane = 0 in the faulted slots.
+        const std::uint64_t m = fault_slots_;
+        const std::uint64_t stuck_v = fault_.stuck_at_one ? m : 0;
+        for (unsigned w = 0; w < words_; ++w) {
+            forced_v[w] = (nv[w] & ~m) | stuck_v;
+            forced_x[w] = nx[w] & ~m;
+        }
         nv = forced_v;
-        nx = kZeroPlane; // stuck value is fully known: x plane = 0
+        nx = forced_x;
     }
     const std::size_t base = planeIndex(net, 0);
     std::uint64_t* cv = &v_[base];
@@ -169,13 +174,15 @@ std::size_t PackedSim::propagate() {
                 in_x[p] = &x_[base];
             }
             if (fault_active_ && fault_.isPinFault() && fault_.gate == g) {
-                const std::uint64_t stuck_v = fault_.stuck_at_one ? ~0ULL : 0;
+                const std::size_t pin = static_cast<std::size_t>(fault_.pin);
+                const std::uint64_t m = fault_slots_;
+                const std::uint64_t stuck_v = fault_.stuck_at_one ? m : 0;
                 for (unsigned w = 0; w < W; ++w) {
-                    pin_v[w] = stuck_v;
-                    pin_x[w] = 0;
+                    pin_v[w] = (in_v[pin][w] & ~m) | stuck_v;
+                    pin_x[w] = in_x[pin][w] & ~m;
                 }
-                in_v[static_cast<std::size_t>(fault_.pin)] = pin_v;
-                in_x[static_cast<std::size_t>(fault_.pin)] = pin_x;
+                in_v[pin] = pin_v;
+                in_x[pin] = pin_x;
             }
             ++evals;
             kernel(gate_fn_[g], in_v, in_x, arity, out_v, out_x, W);
@@ -201,9 +208,10 @@ void PackedSim::setHeldAll(const std::vector<GateId>& gates, bool held) {
     for (const GateId g : gates) setHeld(g, held);
 }
 
-void PackedSim::injectFault(const FaultSite& f) {
+void PackedSim::injectFault(const FaultSite& f, std::uint64_t slots) {
     fault_active_ = true;
     fault_ = f;
+    fault_slots_ = slots;
     if (f.isPinFault()) {
         schedule(f.gate);
     } else {

@@ -13,7 +13,8 @@
 //  * word-packed PPSFP fault grading (fault/parallel_sim.hpp): single-fault
 //    injection, event-driven propagation of the faulty cone, and rollback
 //    through an event-frontier undo log;
-//  * ATPG implication (PODEM's good and faulty machines, W = 1);
+//  * ATPG implication (PODEM, W = 1: the good machine in slot 0 and the
+//    faulty machine in slot 1, the fault injected into slot 1 only);
 //  * clocked and scan-shift simulation with the paper's holding semantics
 //    (sim/sequential.hpp, W = 1): a held gate simply does not re-evaluate,
 //    exactly what FLH's supply gating does;
@@ -105,11 +106,13 @@ public:
     [[nodiscard]] bool isHeld(GateId gate) const { return held_.at(gate) != 0; }
 
     // ---- single-fault injection (PPSFP) ---------------------------------
-    /// Activate a stuck-at fault for subsequent propagation; the stuck value
-    /// applies to every slot of every word. Inject from a quiescent (fully
+    /// Activate a stuck-at fault for subsequent propagation. The stuck value
+    /// is forced only into the slots set in `slots`, in every word; the
+    /// other slots keep the fault-free machine (PODEM runs good and faulty
+    /// in slots 0 and 1 of one word). Inject from a quiescent (fully
     /// propagated) state. While the fault is active every net change
     /// records the net's first-touch pre-fault planes in an undo log.
-    void injectFault(const FaultSite& f);
+    void injectFault(const FaultSite& f, std::uint64_t slots = ~0ULL);
 
     /// Deactivate the fault and roll the simulator back to the exact state
     /// it had at injectFault by restoring the recorded event frontier: only
@@ -175,6 +178,7 @@ private:
 
     bool fault_active_ = false;
     FaultSite fault_{};
+    std::uint64_t fault_slots_ = 0;
     /// Event-frontier undo log: `undo_nets_[k]`'s pre-fault planes live at
     /// [k * words_, (k + 1) * words_) in undo_v_ / undo_x_.
     std::vector<NetId> undo_nets_;

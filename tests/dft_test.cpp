@@ -233,7 +233,8 @@ TEST(ChainOrder, XBitsCarryNoTransitions) {
 
 TEST(ChainOrder, OptimizerNeverWorsens) {
     const Netlist nl = [] {
-        Netlist n = makeCircuit("s298", makeDefaultLibrary());
+        static const Library lib = makeDefaultLibrary();
+        Netlist n = makeCircuit("s298", lib);
         insertScan(n);
         return n;
     }();

@@ -5,7 +5,11 @@
 // must be byte-identical with telemetry on vs. off.
 #include "obs/telemetry.hpp"
 
+#include "atpg/podem.hpp"
+#include "dft/scan.hpp"
+#include "fault/faults.hpp"
 #include "flow/engine.hpp"
+#include "iscas/circuits.hpp"
 #include "obs/eventlog.hpp"
 #include "util/json.hpp"
 
@@ -164,6 +168,26 @@ TEST_F(ObsCounters, GaugeTracksValueAndHighWater) {
     EXPECT_EQ(g.peak(), 0);
     // Address stability: the registry still hands back the same object.
     EXPECT_EQ(&g, &obs::gauge("obs_test.depth"));
+}
+
+TEST_F(ObsCounters, PodemFlushesCallDecisionBacktrackAndGateEvalCounters) {
+    static const Library lib = makeDefaultLibrary();
+    Netlist nl = makeS27(lib);
+    insertScan(nl);
+    obs::setEnabled(true);
+    Podem podem(nl);
+    std::uint64_t calls = 0;
+    Pattern p;
+    for (const FaultSite& f : collapsedStuckAtFaults(nl)) {
+        (void)podem.generate(f, p);
+        ++calls;
+    }
+    (void)podem.justify(nl.pos()[0], Logic::One, p);
+    ++calls;
+    EXPECT_EQ(obs::counter("atpg.podem.calls").value(), calls);
+    EXPECT_GT(obs::counter("atpg.podem.decisions").value(), 0u);
+    EXPECT_GT(obs::counter("atpg.podem.backtracks").value(), 0u);
+    EXPECT_GT(obs::counter("atpg.podem.gate_evals").value(), 0u);
 }
 
 TEST_F(ObsExport, MetricsJsonParsesWithExpectedStructure) {

@@ -301,6 +301,56 @@ TEST(PackedSim, ClearFaultRestoresExactPreInjectState) {
     }
 }
 
+// injectFault's slot mask: the faulted slots must carry exactly the fully
+// injected machine, every other slot exactly the fault-free one, for every
+// collapsed net and pin fault, and clearFault must restore the
+// pre-injection planes bit-exact.
+TEST(PackedSim, FaultConfinedToSlotMask) {
+    for (const Netlist& nl : {makeS27(lib()), makeCircuit("s298", lib())}) {
+        for (const unsigned words : {1u, 4u}) {
+            const std::size_t planes = nl.netCount() * words;
+            const auto snapshot = [&](const PackedSim& sim) {
+                std::vector<PV> out(planes);
+                for (NetId n = 0; n < nl.netCount(); ++n)
+                    for (unsigned w = 0; w < words; ++w) out[n * words + w] = sim.get(n, w);
+                return out;
+            };
+            Rng rng(707 + words);
+            const auto src = randomWordSources(nl, words, rng, true);
+            PackedSim full(nl, words);
+            PackedSim masked(nl, words);
+            applyWordSources(full, src);
+            applyWordSources(masked, src);
+            full.propagate();
+            masked.propagate();
+            const std::vector<PV> clean = snapshot(masked);
+            std::size_t pin_faults = 0;
+            for (const FaultSite& f : collapsedStuckAtFaults(nl)) {
+                pin_faults += f.isPinFault() ? 1 : 0;
+                full.injectFault(f);
+                full.propagate();
+                const std::vector<PV> faulty = snapshot(full);
+                full.clearFault();
+
+                const std::uint64_t m = rng.next() | 0b10; // slot 1 is PODEM's
+                masked.injectFault(f, m);
+                masked.propagate();
+                const std::vector<PV> got = snapshot(masked);
+                for (std::size_t i = 0; i < planes; ++i) {
+                    const PV want{(faulty[i].v & m) | (clean[i].v & ~m),
+                                  (faulty[i].x & m) | (clean[i].x & ~m)};
+                    ASSERT_EQ(got[i], want)
+                        << nl.name() << " net " << nl.net(static_cast<NetId>(i / words)).name
+                        << " words " << words << " fault " << toString(nl, f);
+                }
+                masked.clearFault();
+                ASSERT_EQ(snapshot(masked), clean) << nl.name() << " " << toString(nl, f);
+            }
+            EXPECT_GT(pin_faults, 0u) << nl.name();
+        }
+    }
+}
+
 TEST(PackedSim, ResetClearsFaultState) {
     // Regression: a net-fault restore value recorded before reset() must not
     // leak into a clearFault() issued after the reset.
