@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "analog/flh_chain.hpp"
 #include "atpg/podem.hpp"
+#include "atpg/transition_atpg.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
@@ -204,6 +205,25 @@ BENCHMARK(BM_PodemTopoff)
     ->Args({0, 100})
     ->Args({1, 40})
     ->Unit(benchmark::kMillisecond);
+
+// The whole transition top-off as the flow's atpg stage runs it:
+// EnhancedScan generateTransitionTests at 64 random pairs on s298 and
+// s1423, so V1 justification and the per-test grading are timed along with
+// PODEM's V2 search (BM_PodemTopoff times generate alone). Faults/sec
+// counts the whole fault list.
+void BM_TransitionTopoff(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    const auto faults = allTransitionFaults(nl);
+    TransitionAtpgConfig cfg;
+    cfg.random_pairs = 64;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            generateTransitionTests(nl, TestApplication::EnhancedScan, faults, cfg).generated);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(faults.size()));
+}
+BENCHMARK(BM_TransitionTopoff)->ArgName("circuit")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // A/B pin for flh_benchdiff, which matches rows by (schema, name, threads):
 // the packed width comes from FLH_SIM_WORDS (default 8, valid 1..8), so a

@@ -2,6 +2,7 @@
 
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -12,6 +13,14 @@ Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl,
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
     assigned_.assign(nl.netCount(), Logic::X);
+    topo_rank_.assign(nl.gateCount(), 0);
+    const auto& topo = nl.topoOrder();
+    for (std::size_t i = 0; i < topo.size(); ++i)
+        topo_rank_[topo[i]] = static_cast<std::uint32_t>(i);
+    is_obs_.assign(nl.netCount(), 0);
+    for (const NetId po : nl.pos()) is_obs_[po] = 1;
+    for (const GateId ff : nl.flipFlops()) is_obs_[nl.gate(ff).inputs[0]] = 1;
+    in_cone_.assign(nl.gateCount(), 0);
 }
 
 void Podem::freeze(NetId net, Logic value) {
@@ -43,10 +52,34 @@ void Podem::resetState() {
     gate_evals_ += sim_.propagate();
 }
 
-void Podem::assignSource(NetId source, Logic v) {
+void Podem::setSource(NetId source, Logic v) {
     assigned_[source] = v;
     sim_.setNet(source, 0, PV::all(v));
-    gate_evals_ += sim_.propagate();
+}
+
+void Podem::collectCone(const FaultSite& f) {
+    cone_.clear();
+    cone_obs_.clear();
+    const auto enter = [&](GateId g) {
+        if (isSequential(nl_->gate(g).fn) || in_cone_[g]) return;
+        in_cone_[g] = 1;
+        cone_.push_back(g);
+    };
+    const auto visitNet = [&](NetId n) {
+        if (is_obs_[n]) cone_obs_.push_back(n);
+        for (const PinRef& pr : nl_->fanout(n)) enter(pr.gate);
+    };
+    // A pin fault's difference starts at its receiving gate; the stem
+    // itself never carries D.
+    if (f.isPinFault()) {
+        enter(f.gate);
+    } else {
+        visitNet(f.net);
+    }
+    for (std::size_t i = 0; i < cone_.size(); ++i) visitNet(nl_->gate(cone_[i]).output);
+    std::sort(cone_.begin(), cone_.end(),
+              [&](GateId a, GateId b) { return topo_rank_[a] < topo_rank_[b]; });
+    for (const GateId g : cone_) in_cone_[g] = 0;
 }
 
 void Podem::flushCounters() const {
@@ -112,7 +145,7 @@ std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
 }
 
 std::optional<std::pair<NetId, Logic>> Podem::frontierObjective() const {
-    for (const GateId g : nl_->topoOrder()) {
+    for (const GateId g : cone_) {
         const Gate& gate = nl_->gate(g);
         // Both machines settled: equal, or D already propagated past here.
         if (goodValue(gate.output) != Logic::X && faultyValue(gate.output) != Logic::X) continue;
@@ -134,11 +167,7 @@ std::optional<std::pair<NetId, Logic>> Podem::frontierObjective() const {
 }
 
 bool Podem::faultObserved() const {
-    for (const NetId po : nl_->pos())
-        if (hasD(po)) return true;
-    for (const GateId ff : nl_->flipFlops())
-        if (hasD(nl_->gate(ff).inputs[0])) return true;
-    return false;
+    return std::any_of(cone_obs_.begin(), cone_obs_.end(), [&](NetId n) { return hasD(n); });
 }
 
 Pattern Podem::extractPattern() const {
@@ -152,20 +181,22 @@ Pattern Podem::extractPattern() const {
 
 template <typename GoalFn, typename ObjectiveFn>
 PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Pattern& out) {
+    // Unassign every exhausted decision and flip the newest untried one,
+    // then settle both machines in one propagate.
     const auto backtrack = [&]() -> bool {
         ++backtracks_;
-        while (!stack_.empty()) {
-            Decision& d = stack_.back();
-            if (!d.tried_both) {
-                d.tried_both = true;
-                d.value = negate(d.value);
-                assignSource(d.source, d.value);
-                return true;
-            }
-            assignSource(d.source, Logic::X);
+        while (!stack_.empty() && stack_.back().tried_both) {
+            setSource(stack_.back().source, Logic::X);
             stack_.pop_back();
         }
-        return false;
+        if (!stack_.empty()) {
+            Decision& d = stack_.back();
+            d.tried_both = true;
+            d.value = negate(d.value);
+            setSource(d.source, d.value);
+        }
+        gate_evals_ += sim_.propagate();
+        return !stack_.empty();
     };
 
     for (;;) {
@@ -195,13 +226,15 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
         }
         ++decisions_;
         stack_.push_back(Decision{assign->first, assign->second, false});
-        assignSource(assign->first, assign->second);
+        setSource(assign->first, assign->second);
+        gate_evals_ += sim_.propagate();
     }
 }
 
 PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
     fault_active_ = true;
     fault_ = fault;
+    collectCone(fault);
     resetState();
 
     const Logic activate = fault.stuck_at_one ? Logic::Zero : Logic::One;

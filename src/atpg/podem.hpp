@@ -15,6 +15,14 @@
 // unassigned input with each value; prefer the one that forces the
 // objective), so complex cells (AOI/OAI/MUX) need no special cases.
 //
+// Only the fault's combinational fanout cone can carry D, so generate()
+// collects that cone once, in topological order (with a pin fault's
+// receiving gate), together with the observation points inside it; the
+// D-frontier and the observation check walk those lists instead of the
+// whole netlist and make the same choices. A backtrack sets every popped
+// source back to X and the flipped one to its other value, then propagates
+// once: the settled values are the same as one propagate per source.
+//
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
 // broadside justification pins the required next-state bits.
@@ -29,7 +37,6 @@ namespace flh {
 
 struct PodemConfig {
     int max_backtracks = 300;
-    std::uint64_t seed = 1; ///< decision-ordering randomization
 };
 
 /// Outcome classification for one generation attempt.
@@ -64,7 +71,10 @@ private:
     };
 
     void resetState();
-    void assignSource(NetId source, Logic v);
+    /// Assign a source without propagating (callers batch the propagate).
+    void setSource(NetId source, Logic v);
+    /// Collect the fault's fanout cone into cone_ and cone_obs_.
+    void collectCone(const FaultSite& f);
     [[nodiscard]] Logic goodValue(NetId n) const;
     [[nodiscard]] Logic faultyValue(NetId n) const;
     [[nodiscard]] bool hasD(NetId n) const;
@@ -74,10 +84,11 @@ private:
     [[nodiscard]] std::optional<std::pair<NetId, Logic>> backtrace(NetId net, Logic v);
 
     /// The first X input of the first D-frontier gate (D on an input, X on
-    /// the output) in topological order, with the value to try on it.
+    /// the output) in topological order, with the value to try on it. Walks
+    /// the fault cone only.
     [[nodiscard]] std::optional<std::pair<NetId, Logic>> frontierObjective() const;
 
-    /// True if some observation point carries D.
+    /// True if some observation point of the fault cone carries D.
     [[nodiscard]] bool faultObserved() const;
 
     /// Shared decision loop; `goal` returns +1 done, 0 keep going, -1 dead end.
@@ -95,6 +106,11 @@ private:
     static constexpr std::uint64_t kFaultySlot = 0b10; ///< slot mask of the faulty machine
     PackedSim sim_; ///< W = 1: good machine in slot 0, faulty in slot 1
     std::vector<NetId> sources_;
+    std::vector<std::uint32_t> topo_rank_; ///< per gate: position in topoOrder()
+    std::vector<std::uint8_t> is_obs_;     ///< per net: PO or FF D input
+    std::vector<std::uint8_t> in_cone_;    ///< per gate, all 0 between calls
+    std::vector<GateId> cone_;             ///< fault cone, combinational, topological
+    std::vector<NetId> cone_obs_;          ///< observation nets inside the cone
     std::vector<Logic> frozen_;   ///< per net (X = not frozen)
     std::vector<Logic> assigned_; ///< per net (X = unassigned), sources only
     std::vector<Decision> stack_;

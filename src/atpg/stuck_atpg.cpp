@@ -28,6 +28,7 @@ StuckAtpgResult generateStuckAtTests(const Netlist& nl, std::span<const FaultSit
     // Phase 2: deterministic top-off for survivors.
     obs::ScopedSpan topoff_span("atpg:stuck_at:topoff", "atpg");
     Podem podem(nl, cfg.podem);
+    UndetectedFaults<FaultSite> open(faults, res.coverage.detected_mask);
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
         if (res.coverage.detected_mask[fi]) continue;
         Pattern p;
@@ -36,13 +37,7 @@ StuckAtpgResult generateStuckAtTests(const Netlist& nl, std::span<const FaultSit
                 fillRandom(p, rng);
                 // Drop every remaining fault this pattern also catches.
                 const Pattern one[1] = {p};
-                const FaultSimResult hit = runStuckAtFaultSim(nl, one, faults);
-                for (std::size_t fj = 0; fj < faults.size(); ++fj) {
-                    if (hit.detected_mask[fj] && !res.coverage.detected_mask[fj]) {
-                        res.coverage.detected_mask[fj] = true;
-                        ++res.coverage.detected;
-                    }
-                }
+                open.drop(runStuckAtFaultSim(nl, one, open.faults()), res.coverage);
                 res.patterns.push_back(std::move(p));
                 ++res.podem_generated;
                 break;

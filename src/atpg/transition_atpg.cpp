@@ -3,10 +3,23 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace flh {
 
 namespace {
+
+/// Run `f`; while telemetry is on, add its wall time in ns to `ns`.
+template <typename F>
+auto timed(obs::Counter& ns, F&& f) {
+    if (!obs::enabled()) return f();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = f();
+    ns.add(static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now() - t0)
+                                          .count()));
+    return r;
+}
 
 Pattern randomPattern(const Netlist& nl, Rng& rng) {
     Pattern p;
@@ -64,20 +77,30 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
     obs::ScopedSpan topoff_span("atpg:transition:topoff", "atpg");
     Podem podem(nl, cfg.podem);
     const auto& ffs = nl.flipFlops();
+    // Where the top-off's time goes, while telemetry is on.
+    static obs::Counter& c_v2_ns = obs::counter("atpg.transition.v2_ns");
+    static obs::Counter& c_v1_ns = obs::counter("atpg.transition.v1_ns");
+    static obs::Counter& c_grade_ns = obs::counter("atpg.transition.grade_ns");
+    static obs::Counter& c_v1_failures = obs::counter("atpg.transition.v1_failures");
+    UndetectedFaults<TransitionFault> open(faults, res.coverage.detected_mask);
 
     const auto tryAddTest = [&](std::size_t fi, const TwoPattern& tp) -> bool {
         const TwoPattern one[1] = {tp};
-        const FaultSimResult hit = runTransitionFaultSim(nl, one, faults);
-        if (!hit.detected_mask[fi]) return false;
-        for (std::size_t fj = 0; fj < faults.size(); ++fj) {
-            if (hit.detected_mask[fj] && !res.coverage.detected_mask[fj]) {
-                res.coverage.detected_mask[fj] = true;
-                ++res.coverage.detected;
-            }
-        }
+        const FaultSimResult hit =
+            timed(c_grade_ns, [&] { return runTransitionFaultSim(nl, one, open.faults()); });
+        if (!open.detects(hit, fi)) return false;
+        open.drop(hit, res.coverage);
         res.tests.push_back(tp);
         ++res.generated;
         return true;
+    };
+    // V1 justification, timed and failures counted.
+    const auto justifyV1 = [&](const std::vector<std::pair<NetId, Logic>>& objectives,
+                               Pattern& v1) {
+        const bool ok = timed(c_v1_ns, [&] { return podem.justifyAll(objectives, v1); }) ==
+                        PodemOutcome::Success;
+        if (!ok) c_v1_failures.add();
+        return ok;
     };
 
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -87,7 +110,8 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
         // V2: detect the equivalent stuck-at fault.
         Pattern v2;
         podem.clearFrozen();
-        const PodemOutcome v2_out = podem.generate(tf.equivalentStuckAt(), v2);
+        const PodemOutcome v2_out =
+            timed(c_v2_ns, [&] { return podem.generate(tf.equivalentStuckAt(), v2); });
         if (v2_out == PodemOutcome::Untestable) {
             ++res.untestable;
             continue;
@@ -97,24 +121,28 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
             continue;
         }
 
-        bool added = false;
-        for (int attempt = 0; attempt < cfg.justify_retries && !added; ++attempt) {
-            switch (style) {
-                case TestApplication::EnhancedScan: {
-                    // V1: independently justify the initial value at the site.
-                    Pattern v1;
-                    podem.clearFrozen();
-                    if (podem.justify(tf.net, tf.initialValue(), v1) != PodemOutcome::Success)
-                        break;
-                    fillRandom(v1, rng);
+        // EnhancedScan's and Broadside's V1 depends only on the fault and
+        // the unfilled V2, so it is justified once: a failure would repeat
+        // identically, and a retry only re-fills the X positions. SkewedLoad
+        // freezes V1's state to a re-filled V2, so it justifies per attempt.
+        switch (style) {
+            case TestApplication::EnhancedScan: {
+                // V1: independently justify the initial value at the site.
+                Pattern v1;
+                podem.clearFrozen();
+                if (!justifyV1({{tf.net, tf.initialValue()}}, v1)) break;
+                for (int attempt = 0; attempt < cfg.justify_retries; ++attempt) {
                     TwoPattern tp;
-                    tp.v1 = std::move(v1);
+                    tp.v1 = v1;
+                    fillRandom(tp.v1, rng);
                     tp.v2 = v2;
                     fillRandom(tp.v2, rng);
-                    added = tryAddTest(fi, tp);
-                    break;
+                    if (tryAddTest(fi, tp)) break;
                 }
-                case TestApplication::SkewedLoad: {
+                break;
+            }
+            case TestApplication::SkewedLoad: {
+                for (int attempt = 0; attempt < cfg.justify_retries; ++attempt) {
                     // V1's state is V2's state shifted back by one position;
                     // only the PIs and the scan-out-end bit remain free.
                     Pattern v2f = v2;
@@ -123,49 +151,51 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
                     for (std::size_t i = 0; i + 1 < ffs.size(); ++i)
                         podem.freeze(nl.gate(ffs[i + 1]).output, v2f.state[i]);
                     Pattern v1;
-                    if (podem.justify(tf.net, tf.initialValue(), v1) != PodemOutcome::Success) {
+                    if (!justifyV1({{tf.net, tf.initialValue()}}, v1)) {
                         ++res.justify_failures;
-                        break;
+                        continue;
                     }
                     fillRandom(v1, rng);
                     // Re-derive V2's state from the (filled) V1 so the pair
                     // is structurally exact, keeping V2's required PIs.
-                    TwoPattern tp = makePair(nl, style, v1, v2f.pis,
-                                             v2f.state.empty() ? Logic::Zero
-                                                               : v2f.state.back());
-                    added = tryAddTest(fi, tp);
+                    const TwoPattern tp =
+                        makePair(nl, style, v1, v2f.pis,
+                                 v2f.state.empty() ? Logic::Zero : v2f.state.back());
+                    if (tryAddTest(fi, tp)) break;
+                }
+                break;
+            }
+            case TestApplication::Broadside: {
+                // V1 must drive the circuit into V2's required state: justify
+                // every specified bit of V2.state at the FF D inputs — the
+                // sequential justification that makes broadside coverage
+                // poor.
+                std::vector<std::pair<NetId, Logic>> objectives;
+                for (std::size_t i = 0; i < ffs.size(); ++i) {
+                    if (v2.state[i] == Logic::X) continue;
+                    objectives.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
+                }
+                // The initial value at the site must hold in V1 as well.
+                objectives.push_back({tf.net, tf.initialValue()});
+                Pattern v1;
+                podem.clearFrozen();
+                if (!justifyV1(objectives, v1)) {
+                    ++res.justify_failures;
                     break;
                 }
-                case TestApplication::Broadside: {
-                    // V1 must drive the circuit into V2's required state:
-                    // justify every specified bit of V2.state at the FF D
-                    // inputs — the sequential justification that makes
-                    // broadside coverage poor.
-                    std::vector<std::pair<NetId, Logic>> objectives;
-                    for (std::size_t i = 0; i < ffs.size(); ++i) {
-                        if (v2.state[i] == Logic::X) continue;
-                        objectives.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
-                    }
-                    // The initial value at the site must hold in V1 as well.
-                    objectives.push_back({tf.net, tf.initialValue()});
-                    Pattern v1;
-                    podem.clearFrozen();
-                    if (podem.justifyAll(objectives, v1) != PodemOutcome::Success) {
-                        ++res.justify_failures;
-                        break;
-                    }
-                    fillRandom(v1, rng);
-                    TwoPattern tp = makePair(nl, style, v1, [&] {
+                for (int attempt = 0; attempt < cfg.justify_retries; ++attempt) {
+                    Pattern v1f = v1;
+                    fillRandom(v1f, rng);
+                    const TwoPattern tp = makePair(nl, style, v1f, [&] {
                         Pattern v2f = v2;
                         fillRandom(v2f, rng);
                         return v2f.pis;
                     }());
-                    added = tryAddTest(fi, tp);
-                    break;
+                    if (tryAddTest(fi, tp)) break;
                 }
+                break;
             }
         }
-        (void)added;
     }
     static obs::Counter& c_generated = obs::counter("atpg.generated");
     static obs::Counter& c_aborted = obs::counter("atpg.aborted");

@@ -20,7 +20,7 @@ namespace flh {
 
 struct TransitionAtpgConfig {
     int random_pairs = 128;
-    int justify_retries = 3; ///< re-tries with different fills (constrained styles)
+    int justify_retries = 3; ///< fill attempts per fault (SkewedLoad re-justifies V1 on each)
     PodemConfig podem{};
     std::uint64_t seed = 11;
 };
@@ -32,7 +32,9 @@ struct TransitionAtpgResult {
     std::size_t generated = 0;
     std::size_t aborted = 0;
     std::size_t untestable = 0;
-    std::size_t justify_failures = 0; ///< V1 could not meet the style constraint
+    /// Faults whose V1 could not meet the style constraint (SkewedLoad
+    /// counts each failed attempt, since every retry re-fills V2's state).
+    std::size_t justify_failures = 0;
 };
 
 [[nodiscard]] TransitionAtpgResult generateTransitionTests(const Netlist& nl,

@@ -1,4 +1,7 @@
 #include "atpg/transition_atpg.hpp"
+#include "dft/scan.hpp"
+#include "flow/hash.hpp"
+#include "flow/paper_flow.hpp"
 #include "iscas/circuits.hpp"
 
 #include <gtest/gtest.h>
@@ -209,6 +212,38 @@ TEST(TransitionAtpg, CoverageOrderingMatchesPaper) {
     // has none by construction.
     EXPECT_EQ(enh.justify_failures, 0u);
     EXPECT_GT(brd.justify_failures + skw.justify_failures, 0u);
+}
+
+struct TopoffPin {
+    std::uint64_t digest; ///< contentHash(serializeTests(tests)).lo
+    std::size_t generated;
+    std::size_t aborted;
+    std::size_t untestable;
+    std::size_t detected;
+};
+
+/// Scanned EnhancedScan top-off with the default config, pinned to exact
+/// values: every PODEM decision, random fill and dropped fault feeds the
+/// test-set digest, so a work-saving change that alters a choice fails.
+void expectTopoffPinned(const std::string& circuit, const TopoffPin& pin) {
+    Netlist nl = makeCircuit(circuit, lib());
+    insertScan(nl);
+    const auto faults = allTransitionFaults(nl);
+    const TransitionAtpgResult r =
+        generateTransitionTests(nl, TestApplication::EnhancedScan, faults);
+    EXPECT_EQ(contentHash(serializeTests(r.tests)).lo, pin.digest);
+    EXPECT_EQ(r.generated, pin.generated);
+    EXPECT_EQ(r.aborted, pin.aborted);
+    EXPECT_EQ(r.untestable, pin.untestable);
+    EXPECT_EQ(r.coverage.detected, pin.detected);
+}
+
+TEST(TransitionAtpg, TopoffPinnedOnS298) {
+    expectTopoffPinned("s298", {0xbfdaec0b5945b324ULL, 6, 0, 48, 203});
+}
+
+TEST(TransitionAtpg, TopoffPinnedOnS1423) {
+    expectTopoffPinned("s1423", {0x35bbb2949b9c099eULL, 36, 233, 35, 1076});
 }
 
 } // namespace

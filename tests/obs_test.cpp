@@ -6,6 +6,7 @@
 #include "obs/telemetry.hpp"
 
 #include "atpg/podem.hpp"
+#include "atpg/transition_atpg.hpp"
 #include "dft/scan.hpp"
 #include "fault/faults.hpp"
 #include "flow/engine.hpp"
@@ -188,6 +189,18 @@ TEST_F(ObsCounters, PodemFlushesCallDecisionBacktrackAndGateEvalCounters) {
     EXPECT_GT(obs::counter("atpg.podem.decisions").value(), 0u);
     EXPECT_GT(obs::counter("atpg.podem.backtracks").value(), 0u);
     EXPECT_GT(obs::counter("atpg.podem.gate_evals").value(), 0u);
+}
+
+TEST_F(ObsCounters, TransitionTopoffSplitsV2V1AndGradeTime) {
+    static const Library lib = makeDefaultLibrary();
+    Netlist nl = makeCircuit("s298", lib);
+    insertScan(nl);
+    obs::setEnabled(true);
+    const auto faults = allTransitionFaults(nl);
+    (void)generateTransitionTests(nl, TestApplication::EnhancedScan, faults);
+    for (const char* name : {"atpg.transition.v2_ns", "atpg.transition.v1_ns",
+                             "atpg.transition.grade_ns", "atpg.transition.v1_failures"})
+        EXPECT_GT(obs::counter(name).value(), 0u) << name;
 }
 
 TEST_F(ObsExport, MetricsJsonParsesWithExpectedStructure) {
