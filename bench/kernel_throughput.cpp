@@ -1,7 +1,8 @@
 // Engineering throughput benchmarks (google-benchmark) for the simulation
 // and analysis kernels underlying every experiment: event-driven logic
-// simulation, parallel-pattern fault simulation, STA, power analysis, and
-// the analog transient stepper.
+// simulation, parallel-pattern fault simulation, STA, power analysis, the
+// Tables I-IV DFT evaluation and fanout optimization, and the analog
+// transient stepper.
 // Besides the console output, every run exports
 // BENCH_kernel_throughput.json — per-benchmark repetition statistics
 // (median/min/IQR real time and faults/sec over >= 5 measured reps after 1
@@ -13,6 +14,8 @@
 #include "analog/flh_chain.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/transition_atpg.hpp"
+#include "dft/design.hpp"
+#include "dft/fanout_opt.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
@@ -324,6 +327,33 @@ void BM_NormalPower(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 20 * 64);
 }
 BENCHMARK(BM_NormalPower)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Table IV's transform on a fresh copy of the scanned circuit (s1423,
+// s5378): one full STA, an incremental re-time per rebuffered FF, one full
+// STA after. The copy is untimed.
+void BM_OptimizeFanout(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    for (auto _ : state) {
+        state.PauseTiming();
+        Netlist copy = nl;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(optimizeFanout(copy).ffs_optimized);
+    }
+}
+BENCHMARK(BM_OptimizeFanout)->ArgName("circuit")->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// One Tables I-III row: evaluateDft for enhanced scan, MUX-hold and FLH on
+// s1423 (per style two STA passes and one 100-vector activity simulation).
+void BM_EvaluateDft(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    std::vector<DftDesign> plans;
+    for (const HoldStyle st : {HoldStyle::EnhancedScan, HoldStyle::MuxHold, HoldStyle::Flh})
+        plans.push_back(planDft(nl, st));
+    for (auto _ : state) {
+        for (const DftDesign& d : plans) benchmark::DoNotOptimize(evaluateDft(nl, d).power_uw);
+    }
+}
+BENCHMARK(BM_EvaluateDft)->ArgName("circuit")->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_AnalogTransient(benchmark::State& state) {
     ChainConfig cfg;

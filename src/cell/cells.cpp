@@ -62,6 +62,9 @@ CellId Library::add(Cell cell) {
     for (const Cell& c : cells_) {
         if (c.name == cell.name) throw std::invalid_argument("duplicate cell name: " + cell.name);
     }
+    pin_base_.push_back(pin_cap_ff_.size());
+    for (int pin = 0; pin < cell.n_inputs; ++pin) pin_cap_ff_.push_back(cell.pinCapFf(tech_, pin));
+    out_parasitic_ff_.push_back(cell.outputParasiticFf(tech_));
     cells_.push_back(std::move(cell));
     return static_cast<CellId>(cells_.size() - 1);
 }

@@ -109,6 +109,16 @@ public:
     [[nodiscard]] const Cell& cell(CellId id) const { return cells_.at(id); }
     [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
 
+    /// cell(id).pinCapFf(tech(), pin) and cell(id).outputParasiticFf(tech()),
+    /// precomputed by add(): the per-net load sums in STA and power read
+    /// these instead of walking each cell's transistor list.
+    [[nodiscard]] double pinCapFf(CellId id, int pin) const noexcept {
+        return pin_cap_ff_[pin_base_[id] + static_cast<std::size_t>(pin)];
+    }
+    [[nodiscard]] double outputParasiticFf(CellId id) const noexcept {
+        return out_parasitic_ff_[id];
+    }
+
     /// Cell implementing `fn` with `n_inputs` inputs; throws if absent.
     [[nodiscard]] CellId find(CellFn fn, int n_inputs) const;
     [[nodiscard]] bool has(CellFn fn, int n_inputs) const noexcept;
@@ -119,6 +129,9 @@ public:
 private:
     Tech tech_;
     std::vector<Cell> cells_;
+    std::vector<std::size_t> pin_base_; ///< per cell: its first entry in pin_cap_ff_
+    std::vector<double> pin_cap_ff_;    ///< n_inputs entries per cell
+    std::vector<double> out_parasitic_ff_;
 };
 
 /// Build the default 70 nm-like library with INV/BUF, NAND2-4, NOR2-4,

@@ -142,8 +142,10 @@ DftEvaluation evaluateDft(const Netlist& nl, const DftDesign& d, const PowerConf
     e.delay_ps = with_t.critical_delay_ps;
     e.delay_increase_pct = 100.0 * (e.delay_ps - e.base_delay_ps) / e.base_delay_ps;
 
-    const PowerResult base_p = measureNormalPower(nl, {}, power_cfg);
-    const PowerResult with_p = measureNormalPower(nl, makePowerOverlay(nl, d), power_cfg);
+    // The overlay only prices the toggles, so one simulation serves both.
+    const std::vector<std::uint64_t> toggles = simulateNormalActivity(nl, power_cfg);
+    const PowerResult base_p = priceNormalPower(nl, toggles, {}, power_cfg);
+    const PowerResult with_p = priceNormalPower(nl, toggles, makePowerOverlay(nl, d), power_cfg);
     e.base_power_uw = base_p.totalUw();
     e.power_uw = with_p.totalUw();
     e.power_increase_pct = 100.0 * (e.power_uw - e.base_power_uw) / e.base_power_uw;

@@ -8,6 +8,15 @@
 
 namespace flh {
 
+namespace {
+
+/// The order buildFanout() produces: by gate, then by pin.
+bool pinBefore(const PinRef& a, const PinRef& b) noexcept {
+    return a.gate != b.gate ? a.gate < b.gate : a.pin < b.pin;
+}
+
+} // namespace
+
 Netlist::Netlist(std::string name, const Library& lib) : name_(std::move(name)), lib_(&lib) {}
 
 NetId Netlist::addNet(const std::string& name) {
@@ -15,7 +24,8 @@ NetId Netlist::addNet(const std::string& name) {
     const NetId id = static_cast<NetId>(nets_.size());
     nets_.push_back(Net{name, kInvalidId, false});
     by_name_.emplace(name, id);
-    invalidateCaches();
+    if (fanout_valid_) fanout_.emplace_back();
+    topo_valid_ = false;
     return id;
 }
 
@@ -48,7 +58,12 @@ GateId Netlist::addGate(CellFn fn, const std::vector<NetId>& inputs, NetId outpu
     gates_.push_back(Gate{cell, fn, inputs, output});
     nets_[output].driver = id;
     if (isSequential(fn)) ffs_.push_back(id);
-    invalidateCaches();
+    // The new gate has the largest id, so appending keeps each fanout list
+    // sorted by (gate, pin).
+    if (fanout_valid_)
+        for (int pin = 0; pin < static_cast<int>(inputs.size()); ++pin)
+            fanout_[inputs[static_cast<std::size_t>(pin)]].push_back(PinRef{id, pin});
+    topo_valid_ = false;
     return id;
 }
 
@@ -56,8 +71,17 @@ GateId Netlist::addDff(NetId d, NetId q) { return addGate(CellFn::Dff, {d}, q); 
 
 void Netlist::rewireInput(GateId gate, int pin, NetId net) {
     Gate& g = gates_.at(gate);
-    g.inputs.at(static_cast<std::size_t>(pin)) = net;
-    invalidateCaches();
+    NetId& slot = g.inputs.at(static_cast<std::size_t>(pin));
+    if (net >= nets_.size()) throw std::out_of_range("rewireInput: bad net");
+    if (fanout_valid_) {
+        const PinRef ref{gate, pin};
+        std::vector<PinRef>& from = fanout_[slot];
+        from.erase(std::find(from.begin(), from.end(), ref));
+        std::vector<PinRef>& to = fanout_[net];
+        to.insert(std::lower_bound(to.begin(), to.end(), ref, pinBefore), ref);
+    }
+    slot = net;
+    topo_valid_ = false;
 }
 
 void Netlist::setDriver(NetId net, GateId g) {
@@ -182,16 +206,14 @@ double Netlist::totalAreaUm2() const {
 }
 
 double Netlist::netCapFf(NetId net) const {
-    const Tech& t = lib_->tech();
+    const double c_wire = lib_->tech().c_wire_ff_per_fanout;
     double cap = 0.0;
     for (const PinRef& pr : fanout(net)) {
-        const Gate& g = gates_[pr.gate];
-        cap += lib_->cell(g.cell).pinCapFf(t, pr.pin);
-        cap += t.c_wire_ff_per_fanout;
+        cap += lib_->pinCapFf(gates_[pr.gate].cell, pr.pin);
+        cap += c_wire;
     }
     const Net& n = nets_[net];
-    if (n.driver != kInvalidId)
-        cap += lib_->cell(gates_[n.driver].cell).outputParasiticFf(t);
+    if (n.driver != kInvalidId) cap += lib_->outputParasiticFf(gates_[n.driver].cell);
     return cap;
 }
 

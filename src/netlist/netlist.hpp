@@ -63,7 +63,9 @@ public:
     /// Add a D flip-flop (Q = output net, D = input net).
     GateId addDff(NetId d, NetId q);
 
-    /// Rewire input pin `pin` of `gate` to `net`. Invalidates caches.
+    /// Rewire input pin `pin` of `gate` to `net`. Like addNet/addGate it
+    /// keeps a built fanout index current (each list stays sorted by gate,
+    /// then pin) and invalidates only the topological order.
     void rewireInput(GateId gate, int pin, NetId net);
 
     /// Change the driver of net `out` to gate `g` (used by transforms that
@@ -91,7 +93,9 @@ public:
 
     [[nodiscard]] std::optional<NetId> findNet(const std::string& name) const;
 
-    /// Input pins fed by `net` (fanout), rebuilt lazily after edits.
+    /// Input pins fed by `net` (fanout), sorted by gate then pin. Built on
+    /// first use; addNet/addGate/rewireInput keep it current, the other
+    /// mutators drop it.
     [[nodiscard]] const std::vector<PinRef>& fanout(NetId net) const;
 
     /// Combinational gates in topological order (FF outputs and PIs are

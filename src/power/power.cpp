@@ -1,9 +1,11 @@
 #include "power/power.hpp"
 
+#include "obs/telemetry.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace flh {
 
@@ -37,10 +39,9 @@ std::uint64_t bernoulliMask(Rng& rng, double p) {
 
 } // namespace
 
-PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
-                               const PowerConfig& cfg) {
-    const Tech& t = nl.library().tech();
-    const Library& lib = nl.library();
+std::vector<std::uint64_t> simulateNormalActivity(const Netlist& nl, const PowerConfig& cfg) {
+    static obs::Counter& c_sims = obs::counter("power.activity_sims");
+    c_sims.add();
     Rng rng(cfg.seed);
 
     SequentialSim seq(nl);
@@ -73,12 +74,19 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
         seq.setState(state);
         seq.settle();
     }
+    return sim.toggleCounts();
+}
 
+PowerResult priceNormalPower(const Netlist& nl, const std::vector<std::uint64_t>& toggles,
+                             const PowerOverlay& ov, const PowerConfig& cfg) {
+    if (toggles.size() != nl.netCount())
+        throw std::invalid_argument("priceNormalPower: toggle counts are for another netlist");
+    const Tech& t = nl.library().tech();
+    const Library& lib = nl.library();
     const double sampled_cycles = static_cast<double>(cfg.n_vectors) * 64.0;
 
     PowerResult res;
     double energy_fj = 0.0;
-    const auto& toggles = sim.toggleCounts();
     for (NetId n = 0; n < nl.netCount(); ++n) {
         if (toggles[n] == 0) continue;
         res.toggles += toggles[n];
@@ -113,6 +121,11 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
     }
     res.leakage_uw = leak_nw * 1e-3;
     return res;
+}
+
+PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
+                               const PowerConfig& cfg) {
+    return priceNormalPower(nl, simulateNormalActivity(nl, cfg), ov, cfg);
 }
 
 ScanShiftPowerResult measureScanShiftPower(const Netlist& nl, HoldStyle style, int n_patterns,

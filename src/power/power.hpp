@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 namespace flh {
 
@@ -79,7 +80,20 @@ struct PowerConfig {
     double ff_hold_prob = 0.0;
 };
 
-/// Normal-mode power: sequential simulation of random vectors.
+/// Per-net toggle counts of the normal-mode random-vector simulation,
+/// summed over its 64 pattern slots (indexed by NetId). The overlay plays
+/// no part in it, so one simulation can price several overlays.
+[[nodiscard]] std::vector<std::uint64_t> simulateNormalActivity(const Netlist& nl,
+                                                                const PowerConfig& cfg = {});
+
+/// Normal-mode power of `toggles` (from simulateNormalActivity with the
+/// same `cfg`) under the DFT overlay `ov`.
+[[nodiscard]] PowerResult priceNormalPower(const Netlist& nl,
+                                           const std::vector<std::uint64_t>& toggles,
+                                           const PowerOverlay& ov, const PowerConfig& cfg);
+
+/// Normal-mode power: sequential simulation of random vectors, priced under
+/// `ov` (priceNormalPower of simulateNormalActivity).
 [[nodiscard]] PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov = {},
                                              const PowerConfig& cfg = {});
 

@@ -2,12 +2,15 @@
 #include "dft/design.hpp"
 #include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
+#include "flow/hash.hpp"
 #include "iscas/circuits.hpp"
+#include "netlist/bench_io.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 namespace flh {
@@ -208,6 +211,85 @@ TEST(FanoutOpt, NoOpOnLowFanoutCircuit) {
     Netlist nl = scanned("s386"); // ratio 1.0: nothing to merge
     const FanoutOptResult r = optimizeFanout(nl);
     EXPECT_EQ(r.first_level_after, r.first_level_before);
+}
+
+// ------------------------------------------------------ Tables I-IV pins
+
+// Every Tables I-IV figure on one scanned registry circuit, compared with
+// == on doubles: the three styles' DftEvaluation, optimizeFanout's result
+// and the optimized netlist's .bench hash. PowerConfig as perfbench's
+// powerFor with stimulus seed 1. A change to STA, power or the fanout
+// optimizer that moves any bit of a paper table fails here.
+struct PinnedTables {
+    std::array<DftEvaluation, 3> eval;
+    FanoutOptResult fanout;
+    std::uint64_t optimized_hash_lo = 0;
+};
+
+void expectPinnedTables(const std::string& name, const PinnedTables& want) {
+    Netlist nl = scanned(name);
+    PowerConfig cfg;
+    cfg.seed = 1;
+    cfg.ff_hold_prob = findCircuit(name).ff_hold_prob;
+    cfg.pi_toggle_prob = 0.3 * (1.0 - 0.8 * cfg.ff_hold_prob);
+    for (const DftEvaluation& w : want.eval) {
+        const DftEvaluation e = evaluateDft(nl, planDft(nl, w.style), cfg);
+        SCOPED_TRACE(toString(w.style));
+        EXPECT_EQ(e.style, w.style);
+        EXPECT_EQ(e.base_area_um2, w.base_area_um2);
+        EXPECT_EQ(e.dft_area_um2, w.dft_area_um2);
+        EXPECT_EQ(e.area_increase_pct, w.area_increase_pct);
+        EXPECT_EQ(e.base_delay_ps, w.base_delay_ps);
+        EXPECT_EQ(e.delay_ps, w.delay_ps);
+        EXPECT_EQ(e.delay_increase_pct, w.delay_increase_pct);
+        EXPECT_EQ(e.base_power_uw, w.base_power_uw);
+        EXPECT_EQ(e.power_uw, w.power_uw);
+        EXPECT_EQ(e.power_increase_pct, w.power_increase_pct);
+    }
+    const FanoutOptResult r = optimizeFanout(nl);
+    EXPECT_EQ(r.ffs_optimized, want.fanout.ffs_optimized);
+    EXPECT_EQ(r.inverters_added, want.fanout.inverters_added);
+    EXPECT_EQ(r.first_level_before, want.fanout.first_level_before);
+    EXPECT_EQ(r.first_level_after, want.fanout.first_level_after);
+    EXPECT_EQ(r.delay_before_ps, want.fanout.delay_before_ps);
+    EXPECT_EQ(r.delay_after_ps, want.fanout.delay_after_ps);
+    EXPECT_EQ(contentHash(writeBenchString(nl)).lo, want.optimized_hash_lo);
+}
+
+TEST(PaperTables, PinnedOnS1423) {
+    expectPinnedTables(
+        "s1423",
+        {{{{HoldStyle::EnhancedScan, 0x1.bb6425aee6343p+6, 0x1.8a8240b780348p+4,
+            0x1.63e6bde3b57c6p+4, 0x1.d11a666666666p+11, 0x1.da64b851eb852p+11,
+            0x1.ff5a6f5c00f3p+0, 0x1.119bc8893b7d4p+7, 0x1.20ad09b8cb8dep+7,
+            0x1.60715db2f4477p+2},
+           {HoldStyle::MuxHold, 0x1.bb6425aee6343p+6, 0x1.50d744f5d3566p+4,
+            0x1.2fe07ebe6ec27p+4, 0x1.d11a666666666p+11, 0x1.dd252b4ea12p+11,
+            0x1.4b6834f7befc2p+1, 0x1.119bc8893b7d4p+7, 0x1.1e58eebcf4677p+7,
+            0x1.29f9d087dfe2fp+2},
+           {HoldStyle::Flh, 0x1.bb6425aee6343p+6, 0x1.2704ea4a8c153p+4, 0x1.0a25e32a6fc16p+4,
+            0x1.d11a666666666p+11, 0x1.d29acc3700e0ap+11, 0x1.4a9764ee245dfp-2,
+            0x1.119bc8893b7d4p+7, 0x1.146f948441178p+7, 0x1.088990ea95f41p+0}}},
+         {43, 73, 155, 87, 0x1.d11a666666666p+11, 0x1.cc5547ae147aep+11},
+         0xa8b5f85a5f79a6f7ULL});
+}
+
+TEST(PaperTables, PinnedOnS5378) {
+    expectPinnedTables(
+        "s5378",
+        {{{{HoldStyle::EnhancedScan, 0x1.a2b6fd21ff2d5p+8, 0x1.dd2474538ef36p+5,
+            0x1.c7d0edf0eccb9p+3, 0x1.21f0f5c28f5c4p+11, 0x1.27fb47ae147afp+11,
+            0x1.0aa931f258f97p+1, 0x1.eb4a352007dc4p+8, 0x1.f9620bf22c007p+8,
+            0x1.6f2e275df1c6ap+1},
+           {HoldStyle::MuxHold, 0x1.a2b6fd21ff2d5p+8, 0x1.976539756c93bp+5,
+            0x1.852fc0eb72d7p+3, 0x1.21f0f5c28f5c4p+11, 0x1.2a54e5d02ec25p+11,
+            0x1.7268bc91ce5fp+1, 0x1.eb4a352007dc4p+8, 0x1.f73ae979735d2p+8,
+            0x1.3716f746d3341p+1},
+           {HoldStyle::Flh, 0x1.a2b6fd21ff2d5p+8, 0x1.7f604189374cbp+4, 0x1.6e3d9e49b2921p+2,
+            0x1.21f0f5c28f5c4p+11, 0x1.2424d2a6c405fp+11, 0x1.84f3219fbe11bp-1,
+            0x1.eb4a352007dc4p+8, 0x1.ec5a7c986dc96p+8, 0x1.bb5eccd12fcdp-3}}},
+         {23, 45, 204, 177, 0x1.21f0f5c28f5c4p+11, 0x1.21f0f5c28f5c4p+11},
+         0x761f6976e8134c28ULL});
 }
 
 // ---------------------------------------------------------- chain ordering

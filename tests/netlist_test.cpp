@@ -2,6 +2,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/netlist.hpp"
 #include "dft/scan.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,37 @@ TEST(Netlist, FanoutTracksRewire) {
     nl.rewireInput(nor, 1, a);
     EXPECT_EQ(nl.fanout(a).size(), 2u);
     EXPECT_TRUE(nl.fanout(b).empty());
+}
+
+TEST(Netlist, EditedFanoutIndexEqualsRebuiltIndex) {
+    // addNet/addGate/rewireInput keep a built index current; it must equal
+    // the index a fresh build produces (same pins, same gate-then-pin order).
+    Netlist nl = tiny();
+    Rng rng(17);
+    std::vector<NetId> nets;
+    for (NetId n = 0; n < nl.netCount(); ++n) nets.push_back(n);
+    (void)nl.fanout(0); // build the index before editing
+    for (int step = 0; step < 400; ++step) {
+        const NetId pick = nets[rng.below(nets.size())];
+        if (rng.chance(0.3)) {
+            const NetId out = nl.addNet("e" + std::to_string(step));
+            const NetId other = nets[rng.below(nets.size())];
+            if (rng.chance(0.5))
+                nl.addGate(CellFn::Inv, {pick}, out);
+            else
+                nl.addGate(CellFn::Nand, {pick, other}, out); // may repeat a net
+            nets.push_back(out);
+        } else {
+            const GateId g = static_cast<GateId>(rng.below(nl.gateCount()));
+            const int pin = static_cast<int>(rng.below(nl.gate(g).inputs.size()));
+            nl.rewireInput(g, pin, pick);
+        }
+        if (step % 50 != 49) continue;
+        Netlist fresh = nl;
+        fresh.invalidateCaches();
+        for (NetId n = 0; n < nl.netCount(); ++n)
+            ASSERT_EQ(nl.fanout(n), fresh.fanout(n)) << "net " << n << " after step " << step;
+    }
 }
 
 TEST(Netlist, TopoOrderRespectsDependencies) {

@@ -7,6 +7,8 @@
 
 #include "atpg/podem.hpp"
 #include "atpg/transition_atpg.hpp"
+#include "dft/design.hpp"
+#include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
 #include "fault/faults.hpp"
 #include "flow/engine.hpp"
@@ -201,6 +203,24 @@ TEST_F(ObsCounters, TransitionTopoffSplitsV2V1AndGradeTime) {
     for (const char* name : {"atpg.transition.v2_ns", "atpg.transition.v1_ns",
                              "atpg.transition.grade_ns", "atpg.transition.v1_failures"})
         EXPECT_GT(obs::counter(name).value(), 0u) << name;
+}
+
+TEST_F(ObsCounters, TablesCountActivitySimsAndFanoutOptTimingPasses) {
+    static const Library lib = makeDefaultLibrary();
+    Netlist nl = makeCircuit("s838", lib);
+    insertScan(nl);
+    obs::setEnabled(true);
+    for (const HoldStyle st : {HoldStyle::EnhancedScan, HoldStyle::MuxHold, HoldStyle::Flh})
+        (void)evaluateDft(nl, planDft(nl, st));
+    const FanoutOptResult r = optimizeFanout(nl);
+    // One activity simulation per evaluateDft, priced for base and overlay.
+    EXPECT_EQ(obs::counter("power.activity_sims").value(), 3u);
+    // Full STA before and after the loop; one incremental update per
+    // rebuffered FF in between.
+    EXPECT_GT(r.ffs_optimized, 0u);
+    EXPECT_LE(obs::counter("sta.full_runs").value(), 2u);
+    EXPECT_EQ(obs::counter("sta.incremental_updates").value(), r.ffs_optimized);
+    EXPECT_GE(obs::counter("dft.fanout_opt.ffs_considered").value(), r.ffs_optimized);
 }
 
 TEST_F(ObsExport, MetricsJsonParsesWithExpectedStructure) {

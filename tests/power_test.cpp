@@ -1,3 +1,5 @@
+#include "dft/design.hpp"
+#include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
 #include "power/power.hpp"
 
@@ -19,6 +21,33 @@ TEST(Power, PositiveComponents) {
     EXPECT_GT(p.leakage_uw, 0.0);
     EXPECT_GT(p.toggles, 0u);
     EXPECT_NEAR(p.totalUw(), p.switching_uw + p.clocking_uw + p.leakage_uw, 1e-12);
+}
+
+TEST(Power, SimulateThenPriceEqualsMeasure) {
+    // One activity simulation priced under each overlay gives exactly what
+    // measureNormalPower gives, field for field.
+    for (const char* name : {"s298", "s1423"}) {
+        Netlist nl = makeCircuit(name, lib());
+        insertScan(nl);
+        PowerConfig cfg;
+        cfg.seed = 3;
+        cfg.ff_hold_prob = 0.2;
+        const std::vector<std::uint64_t> toggles = simulateNormalActivity(nl, cfg);
+        std::vector<PowerOverlay> overlays(1);
+        for (const HoldStyle st : {HoldStyle::EnhancedScan, HoldStyle::MuxHold, HoldStyle::Flh})
+            overlays.push_back(makePowerOverlay(nl, planDft(nl, st)));
+        for (std::size_t i = 0; i < overlays.size(); ++i) {
+            SCOPED_TRACE(std::string(name) + " overlay " + std::to_string(i));
+            const PowerResult split = priceNormalPower(nl, toggles, overlays[i], cfg);
+            const PowerResult whole = measureNormalPower(nl, overlays[i], cfg);
+            EXPECT_EQ(split.switching_uw, whole.switching_uw);
+            EXPECT_EQ(split.clocking_uw, whole.clocking_uw);
+            EXPECT_EQ(split.leakage_uw, whole.leakage_uw);
+            EXPECT_EQ(split.toggles, whole.toggles);
+        }
+        EXPECT_THROW((void)priceNormalPower(makeCircuit("s27", lib()), toggles, {}, cfg),
+                     std::invalid_argument);
+    }
 }
 
 TEST(Power, DeterministicForFixedSeed) {

@@ -1,7 +1,11 @@
 #include "iscas/circuits.hpp"
 #include "sta/timing.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <vector>
 
 namespace flh {
 namespace {
@@ -110,6 +114,122 @@ TEST(Sta, OffCriticalAdderDoesNotMoveDelay) {
     TimingOverlay ov;
     ov.gate_delay_adder_ps[short_gate] = 5.0;
     EXPECT_NEAR(runSta(nl, ov).critical_delay_ps, base.critical_delay_ps, 1e-9);
+}
+
+// ------------------------------------------------------ incremental STA
+
+::testing::AssertionResult sameDoubles(const char* what, const std::vector<double>& a,
+                                       const std::vector<double>& b) {
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << what << " size " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i] != b[i])
+            return ::testing::AssertionFailure() << what << "[" << i << "] " << a[i] << " vs " << b[i];
+    return ::testing::AssertionSuccess();
+}
+
+void expectSameTiming(const TimingResult& inc, const TimingResult& full) {
+    EXPECT_EQ(inc.critical_delay_ps, full.critical_delay_ps);
+    EXPECT_EQ(inc.critical_levels, full.critical_levels);
+    EXPECT_EQ(inc.critical_path, full.critical_path);
+    EXPECT_TRUE(sameDoubles("arrival_ps", inc.arrival_ps, full.arrival_ps));
+    EXPECT_TRUE(sameDoubles("required_ps", inc.required_ps, full.required_ps));
+}
+
+/// Comb receiver pins of `q`, and the first inverter among them.
+std::vector<PinRef> combPins(const Netlist& nl, NetId q, GateId& first_inv) {
+    std::vector<PinRef> pins;
+    first_inv = kInvalidId;
+    for (const PinRef& pr : nl.fanout(q)) {
+        if (isSequential(nl.gate(pr.gate).fn)) continue;
+        if (first_inv == kInvalidId && nl.gate(pr.gate).fn == CellFn::Inv) first_inv = pr.gate;
+        pins.push_back(pr);
+    }
+    return pins;
+}
+
+struct EditTally {
+    int edits = 0;
+    int critical_moved = 0;
+};
+
+/// Random rebuffers of optimizeFanout's kind on `nl`: a random subset of an
+/// FF's comb receiver pins moves behind a new inverter pair, or behind an
+/// existing inverter on Q plus a new one, or straight onto an existing
+/// inverter's output or a primary input (rewires onto nets that are already
+/// timed; a PI's arrival does not move with its load, so only the rewire
+/// itself can queue the moved gates). After each, the incrementally updated
+/// timing must equal a fresh runSta.
+void rebufferAndCompare(Netlist nl, std::uint64_t seed, int n_edits, EditTally& tally) {
+    Rng rng(seed);
+    StaEngine engine(nl);
+    for (int e = 0; e < n_edits; ++e) {
+        const GateId ff = nl.flipFlops()[rng.below(nl.flipFlops().size())];
+        const NetId q = nl.gate(ff).output;
+        GateId inv = kInvalidId;
+        const std::vector<PinRef> pins = combPins(nl, q, inv);
+        const int kind = static_cast<int>(rng.below(4));
+        const bool reuse = (kind == 1 || kind == 2) && inv != kInvalidId;
+
+        std::vector<PinRef> moved;
+        for (const PinRef& pr : pins)
+            if (pr.gate != inv && rng.chance(0.5)) moved.push_back(pr);
+        if (moved.empty()) continue;
+
+        std::vector<NetId> touched = {q};
+        NetId target;
+        if (kind == 3) {
+            target = nl.pis()[rng.below(nl.pis().size())];
+        } else if (reuse && kind == 2) {
+            target = nl.gate(inv).output;
+        } else {
+            NetId stage1;
+            if (reuse) {
+                stage1 = nl.gate(inv).output;
+            } else {
+                stage1 = nl.addNet("t_a" + std::to_string(e));
+                nl.addGate(CellFn::Inv, {q}, stage1);
+            }
+            target = nl.addNet("t_b" + std::to_string(e));
+            nl.addGate(CellFn::Inv, {stage1}, target);
+            touched.push_back(stage1);
+        }
+        touched.push_back(target);
+        for (const PinRef& pr : moved) nl.rewireInput(pr.gate, pr.pin, target);
+
+        const double before = engine.result().critical_delay_ps;
+        engine.update(touched);
+        const TimingResult full = runSta(nl);
+        SCOPED_TRACE(nl.name() + " edit " + std::to_string(e) + " kind " + std::to_string(kind));
+        expectSameTiming(engine.result(), full);
+        ++tally.edits;
+        if (full.critical_delay_ps != before) ++tally.critical_moved;
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(Sta, IncrementalMatchesFullAfterRebuffers) {
+    EditTally tally;
+    for (const char* name : {"s298", "s1423", "s838"})
+        rebufferAndCompare(makeCircuit(name, lib()), 7, 40, tally);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        CircuitSpec spec;
+        spec.name = "g" + std::to_string(seed);
+        spec.n_pis = 5;
+        spec.n_pos = 3;
+        spec.n_ffs = 4 + static_cast<int>(seed % 5);
+        spec.n_comb_gates = 60;
+        spec.depth = 6;
+        spec.ff_fanout_avg = 3.0;
+        spec.unique_ratio = 2.0;
+        spec.seed = seed;
+        rebufferAndCompare(generateCircuit(spec, lib()), seed, 15, tally);
+    }
+    // Both backward paths ran: the full pass after a critical-delay move and
+    // the worklist when it held.
+    EXPECT_GT(tally.edits, 100);
+    EXPECT_GT(tally.critical_moved, 0);
+    EXPECT_LT(tally.critical_moved, tally.edits);
 }
 
 } // namespace
