@@ -168,8 +168,9 @@ BENCHMARK(BM_StuckAtFaultSimWords)
     ->Args({1, 8})
     ->Unit(benchmark::kMillisecond);
 
-// PODEM top-off, the flow's hot path: generate() on the equivalent stuck-at
-// fault of every transition fault that survives 256 random pairs, as the
+// PODEM top-off, the flow's hot path: generate() (PODEM, then SAT for what
+// it aborts) on the equivalent stuck-at fault of every transition fault that
+// survives 256 random pairs, as the
 // transition ATPG's deterministic phase does (without its justification and
 // grading). range(1) caps the survivor count so an iteration stays within
 // tens of milliseconds. Faults/sec appears as items_per_second; the

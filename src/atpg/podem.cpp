@@ -1,5 +1,6 @@
 #include "atpg/podem.hpp"
 
+#include "atpg/circuit_sat.hpp"
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
@@ -8,7 +9,8 @@
 
 namespace flh {
 
-Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl, 1) {
+Podem::Podem(const Netlist& nl, PodemConfig cfg)
+    : nl_(&nl), cfg_(cfg), sat_(std::make_unique<CircuitSat>(nl)), sim_(nl, 1) {
     for (const NetId pi : nl.pis()) sources_.push_back(pi);
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
@@ -22,6 +24,8 @@ Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl,
     for (const GateId ff : nl.flipFlops()) is_obs_[nl.gate(ff).inputs[0]] = 1;
     in_cone_.assign(nl.gateCount(), 0);
 }
+
+Podem::~Podem() = default;
 
 void Podem::freeze(NetId net, Logic value) {
     if (!isSource(net)) throw std::invalid_argument("freeze: not a source net");
@@ -231,7 +235,7 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
     }
 }
 
-PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
+PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out, sat::ProofSink* proof) {
     fault_active_ = true;
     fault_ = fault;
     collectCone(fault);
@@ -252,18 +256,19 @@ PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
         return frontierObjective();
     };
 
-    const PodemOutcome r = decisionLoop(goal, next_objective, out);
+    PodemOutcome r = decisionLoop(goal, next_objective, out);
     fault_active_ = false;
     flushCounters();
+    if (r == PodemOutcome::Aborted) r = sat_->generate(fault, frozen_, out, proof);
     return r;
 }
 
-PodemOutcome Podem::justify(NetId net, Logic value, Pattern& out) {
-    return justifyAll({{net, value}}, out);
+PodemOutcome Podem::justify(NetId net, Logic value, Pattern& out, sat::ProofSink* proof) {
+    return justifyAll({{net, value}}, out, proof);
 }
 
 PodemOutcome Podem::justifyAll(const std::vector<std::pair<NetId, Logic>>& objectives,
-                               Pattern& out) {
+                               Pattern& out, sat::ProofSink* proof) {
     fault_active_ = false;
     resetState();
 
@@ -284,8 +289,9 @@ PodemOutcome Podem::justifyAll(const std::vector<std::pair<NetId, Logic>>& objec
             if (goodValue(net) == Logic::X) return std::make_pair(net, v);
         return std::nullopt;
     };
-    const PodemOutcome r = decisionLoop(goal, next_objective, out);
+    PodemOutcome r = decisionLoop(goal, next_objective, out);
     flushCounters();
+    if (r == PodemOutcome::Aborted) r = sat_->justifyAll(objectives, frozen_, out, proof);
     return r;
 }
 

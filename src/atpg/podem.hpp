@@ -26,17 +26,40 @@
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
 // broadside justification pins the required next-state bits.
+//
+// Division of work. PODEM is quick to find a test for an easy fault and slow
+// to prove a hard one untestable: most of what it used to abort at 300
+// backtracks was redundant logic it could not prove redundant. So the
+// decision loop runs only up to a small backtrack budget, and a call it
+// aborts falls through, with the same frozen sources, to a SAT formulation
+// of the same question (atpg/circuit_sat.hpp): the good/faulty miter over
+// the fault's cone with an active-path (D-chain) variable per cone net for
+// generate(), the fan-in cone of the objectives for justifyAll(). The
+// solver's model becomes the pattern; an Unsat answer is Untestable.
+// Aborted now means only that the solver hit its conflict cap too.
+//
+// An Untestable verdict therefore has two sources: PODEM exhausting its
+// decision tree within the budget, or SAT refuting the formula. The second
+// kind can carry a DRUP proof: pass a sat::ProofSink and the solver writes
+// the formula and its derivation there, for verify/drup.hpp to replay.
 #pragma once
 
 #include "fault/fault_sim.hpp"
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 namespace flh {
 
+namespace sat {
+class ProofSink;
+}
+class CircuitSat;
+
 struct PodemConfig {
-    int max_backtracks = 300;
+    /// PODEM's own budget; past it the call falls through to SAT.
+    int max_backtracks = 2;
 };
 
 /// Outcome classification for one generation attempt.
@@ -45,6 +68,7 @@ enum class PodemOutcome : std::uint8_t { Success, Untestable, Aborted };
 class Podem {
 public:
     explicit Podem(const Netlist& nl, PodemConfig cfg = {});
+    ~Podem();
 
     /// Freeze a source (PI or FF output) net to a value for all subsequent
     /// calls; pass Logic::X to unfreeze. Throws if `net` is not a source.
@@ -52,15 +76,19 @@ public:
     void clearFrozen();
 
     /// Generate a pattern detecting `fault`. On success the pattern has
-    /// Logic::X in positions PODEM never needed (caller random-fills).
-    PodemOutcome generate(const FaultSite& fault, Pattern& out);
+    /// Logic::X in positions neither engine needed (caller random-fills).
+    /// When SAT decides the call, `proof` (may be null) receives its
+    /// formula and derivation; nothing is written when PODEM decides it.
+    PodemOutcome generate(const FaultSite& fault, Pattern& out, sat::ProofSink* proof = nullptr);
 
     /// Justify `value` on `net` (no fault, no propagation requirement).
-    PodemOutcome justify(NetId net, Logic value, Pattern& out);
+    PodemOutcome justify(NetId net, Logic value, Pattern& out, sat::ProofSink* proof = nullptr);
 
     /// Justify several (net, value) requirements simultaneously.
-    PodemOutcome justifyAll(const std::vector<std::pair<NetId, Logic>>& objectives, Pattern& out);
+    PodemOutcome justifyAll(const std::vector<std::pair<NetId, Logic>>& objectives, Pattern& out,
+                            sat::ProofSink* proof = nullptr);
 
+    /// PODEM backtracks of the last call (SAT's conflicts are not counted).
     [[nodiscard]] std::size_t backtracksUsed() const noexcept { return backtracks_; }
 
 private:
@@ -103,6 +131,7 @@ private:
 
     const Netlist* nl_;
     PodemConfig cfg_;
+    std::unique_ptr<CircuitSat> sat_; ///< settles what the decision loop aborts
     static constexpr std::uint64_t kFaultySlot = 0b10; ///< slot mask of the faulty machine
     PackedSim sim_; ///< W = 1: good machine in slot 0, faulty in slot 1
     std::vector<NetId> sources_;

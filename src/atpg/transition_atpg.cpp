@@ -97,10 +97,10 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
     // V1 justification, timed and failures counted.
     const auto justifyV1 = [&](const std::vector<std::pair<NetId, Logic>>& objectives,
                                Pattern& v1) {
-        const bool ok = timed(c_v1_ns, [&] { return podem.justifyAll(objectives, v1); }) ==
-                        PodemOutcome::Success;
-        if (!ok) c_v1_failures.add();
-        return ok;
+        const PodemOutcome out =
+            timed(c_v1_ns, [&] { return podem.justifyAll(objectives, v1); });
+        if (out != PodemOutcome::Success) c_v1_failures.add();
+        return out;
     };
 
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -128,9 +128,19 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
         switch (style) {
             case TestApplication::EnhancedScan: {
                 // V1: independently justify the initial value at the site.
+                // V1 does not depend on V2 here, so a net that can never
+                // take its initial value makes the fault untestable.
                 Pattern v1;
                 podem.clearFrozen();
-                if (!justifyV1({{tf.net, tf.initialValue()}}, v1)) break;
+                const PodemOutcome v1_out = justifyV1({{tf.net, tf.initialValue()}}, v1);
+                if (v1_out == PodemOutcome::Untestable) {
+                    ++res.untestable;
+                    break;
+                }
+                if (v1_out == PodemOutcome::Aborted) {
+                    ++res.aborted;
+                    break;
+                }
                 for (int attempt = 0; attempt < cfg.justify_retries; ++attempt) {
                     TwoPattern tp;
                     tp.v1 = v1;
@@ -151,7 +161,7 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
                     for (std::size_t i = 0; i + 1 < ffs.size(); ++i)
                         podem.freeze(nl.gate(ffs[i + 1]).output, v2f.state[i]);
                     Pattern v1;
-                    if (!justifyV1({{tf.net, tf.initialValue()}}, v1)) {
+                    if (justifyV1({{tf.net, tf.initialValue()}}, v1) != PodemOutcome::Success) {
                         ++res.justify_failures;
                         continue;
                     }
@@ -179,7 +189,7 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
                 objectives.push_back({tf.net, tf.initialValue()});
                 Pattern v1;
                 podem.clearFrozen();
-                if (!justifyV1(objectives, v1)) {
+                if (justifyV1(objectives, v1) != PodemOutcome::Success) {
                     ++res.justify_failures;
                     break;
                 }

@@ -30,10 +30,18 @@ struct TransitionAtpgResult {
     std::vector<TwoPattern> tests;
     FaultSimResult coverage; ///< final fault-sim over all generated tests
     std::size_t generated = 0;
+    /// Faults left without a verdict: V2 generation, or EnhancedScan's V1
+    /// justification, aborted.
     std::size_t aborted = 0;
+    /// Faults proven untestable: no V2 detects the stuck-at equivalent, or
+    /// (EnhancedScan, whose V1 is independent of V2) no V1 sets the initial
+    /// value. With no aborts, EnhancedScan's detected + untestable is every
+    /// fault.
     std::size_t untestable = 0;
-    /// Faults whose V1 could not meet the style constraint (SkewedLoad
-    /// counts each failed attempt, since every retry re-fills V2's state).
+    /// Broadside and SkewedLoad faults whose V1 could not meet the style
+    /// constraint; that V1 depends on V2's fill, so it proves nothing.
+    /// SkewedLoad counts each failed attempt, since every retry re-fills
+    /// V2's state.
     std::size_t justify_failures = 0;
 };
 

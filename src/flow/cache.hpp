@@ -64,8 +64,10 @@ struct CacheFlags;
 /// Bump when stage semantics change in a way that must invalidate all
 /// previously cached artifacts (part of every cache key). v2: sharded
 /// cache layout + index logs — old flat-cache entries are cold misses,
-/// never misread (the artifact format itself is unchanged).
-inline constexpr std::string_view kFlowCodeVersion = "flh-flow-2";
+/// never misread (the artifact format itself is unchanged). v3: ATPG
+/// settles PODEM's aborts with SAT and classifies EnhancedScan V1
+/// failures, so the atpg stage's tests and counts differ.
+inline constexpr std::string_view kFlowCodeVersion = "flh-flow-3";
 
 /// Shard fan-out: first byte of the key, i.e. the first two hex chars.
 inline constexpr unsigned kCacheShards = 256;

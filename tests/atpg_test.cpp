@@ -220,11 +220,13 @@ struct TopoffPin {
     std::size_t aborted;
     std::size_t untestable;
     std::size_t detected;
+    std::size_t detected_without_sat; ///< the pin before the SAT fallback
 };
 
 /// Scanned EnhancedScan top-off with the default config, pinned to exact
-/// values: every PODEM decision, random fill and dropped fault feeds the
-/// test-set digest, so a work-saving change that alters a choice fails.
+/// values: every PODEM decision, SAT model, random fill and dropped fault
+/// feeds the test-set digest, so a work-saving change that alters a choice
+/// fails.
 void expectTopoffPinned(const std::string& circuit, const TopoffPin& pin) {
     Netlist nl = makeCircuit(circuit, lib());
     insertScan(nl);
@@ -236,14 +238,34 @@ void expectTopoffPinned(const std::string& circuit, const TopoffPin& pin) {
     EXPECT_EQ(r.aborted, pin.aborted);
     EXPECT_EQ(r.untestable, pin.untestable);
     EXPECT_EQ(r.coverage.detected, pin.detected);
+    // PODEM at 300 backtracks, with no SAT fallback, reached no fewer.
+    EXPECT_GE(r.coverage.detected, pin.detected_without_sat);
+    EXPECT_EQ(r.aborted, 0u);
 }
 
+/// EnhancedScan's V1 is independent of V2, so every fault ends detected or
+/// proven untestable (V2 undetectable or V1 unjustifiable), never neither.
+void expectOneVerdictPerFault(const std::string& circuit) {
+    Netlist nl = makeCircuit(circuit, lib());
+    insertScan(nl);
+    const auto faults = allTransitionFaults(nl);
+    const TransitionAtpgResult r =
+        generateTransitionTests(nl, TestApplication::EnhancedScan, faults);
+    EXPECT_EQ(r.aborted, 0u) << circuit;
+    EXPECT_EQ(r.coverage.detected + r.untestable, faults.size()) << circuit;
+    EXPECT_EQ(r.justify_failures, 0u) << circuit;
+}
+
+TEST(TransitionAtpg, EnhancedScanVerdictOnEveryFaultOfS298) { expectOneVerdictPerFault("s298"); }
+
+TEST(TransitionAtpg, EnhancedScanVerdictOnEveryFaultOfS1423) { expectOneVerdictPerFault("s1423"); }
+
 TEST(TransitionAtpg, TopoffPinnedOnS298) {
-    expectTopoffPinned("s298", {0xbfdaec0b5945b324ULL, 6, 0, 48, 203});
+    expectTopoffPinned("s298", {0xf7732e6511f50075ULL, 6, 0, 73, 203, 203});
 }
 
 TEST(TransitionAtpg, TopoffPinnedOnS1423) {
-    expectTopoffPinned("s1423", {0x35bbb2949b9c099eULL, 36, 233, 35, 1076});
+    expectTopoffPinned("s1423", {0xfae25b6b07d4ce4aULL, 47, 0, 411, 1089, 1076});
 }
 
 } // namespace

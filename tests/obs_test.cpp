@@ -205,6 +205,27 @@ TEST_F(ObsCounters, TransitionTopoffSplitsV2V1AndGradeTime) {
         EXPECT_GT(obs::counter(name).value(), 0u) << name;
 }
 
+TEST_F(ObsCounters, SatFallbackCountsCallsVerdictsConflictsAndTime) {
+    static const Library lib = makeDefaultLibrary();
+    Netlist nl = makeCircuit("s298", lib);
+    insertScan(nl);
+    obs::setEnabled(true);
+    const auto faults = allTransitionFaults(nl);
+    const TransitionAtpgResult r =
+        generateTransitionTests(nl, TestApplication::EnhancedScan, faults);
+    const std::uint64_t calls = obs::counter("atpg.sat.calls").value();
+    EXPECT_GT(calls, 0u);
+    // Every call ends in exactly one of the three answers.
+    EXPECT_EQ(obs::counter("atpg.sat.sat").value() + obs::counter("atpg.sat.unsat").value() +
+                  obs::counter("atpg.sat.aborted").value(),
+              calls);
+    EXPECT_GT(obs::counter("atpg.sat.unsat").value(), 0u);
+    EXPECT_EQ(obs::counter("atpg.sat.aborted").value(), r.aborted);
+    EXPECT_GT(obs::counter("atpg.sat.ns").value(), 0u);
+    // Conflicts are counted (s298's formulas need few, but not none).
+    EXPECT_GT(obs::counter("atpg.sat.conflicts").value(), 0u);
+}
+
 TEST_F(ObsCounters, TablesCountActivitySimsAndFanoutOptTimingPasses) {
     static const Library lib = makeDefaultLibrary();
     Netlist nl = makeCircuit("s838", lib);

@@ -6,14 +6,17 @@
 // independent computations of the same fact against each other (event-driven
 // vs oracle simulation, PODEM vs exhaustive search, PPSFP vs serial fault
 // simulation, optimized vs original netlist functionality).
+#include "atpg/circuit_sat.hpp"
 #include "atpg/stuck_atpg.hpp"
 #include "dft/design.hpp"
 #include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
 #include "netlist/bench_io.hpp"
+#include "proof_recorder.hpp"
 #include "sta/timing.hpp"
 #include "util/rng.hpp"
+#include "verify/reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -327,18 +330,44 @@ bool exhaustivelyTestable(const Netlist& nl, const FaultSite& f) {
     return false;
 }
 
-TEST(PodemComplete, AgreesWithExhaustiveSearchOnS27) {
-    const Netlist nl = makeS27(lib());
+/// PODEM at 5000 backtracks (which must decide every fault without falling
+/// through to SAT), SAT alone, and the exhaustive search must agree on every
+/// fault. Each SAT pattern must detect its fault under the reference
+/// evaluator, and each SAT Untestable verdict carries a DRUP proof that the
+/// independent checker accepts.
+void expectEnginesAgree(const Netlist& nl, const std::vector<FaultSite>& faults) {
     PodemConfig cfg;
     cfg.max_backtracks = 5000; // effectively unbounded on this size
     Podem podem(nl, cfg);
-    for (const FaultSite& f : collapsedStuckAtFaults(nl)) {
+    CircuitSat sat(nl);
+    const std::vector<Logic> free(nl.netCount(), Logic::X);
+    ProofRecorder rec;
+    for (const FaultSite& f : faults) {
+        const bool testable = exhaustivelyTestable(nl, f);
         Pattern p;
-        const PodemOutcome out = podem.generate(f, p);
-        ASSERT_NE(out, PodemOutcome::Aborted) << toString(nl, f);
-        EXPECT_EQ(out == PodemOutcome::Success, exhaustivelyTestable(nl, f))
-            << toString(nl, f);
+        rec.clear();
+        const PodemOutcome by_podem = podem.generate(f, p, &rec);
+        EXPECT_FALSE(rec.used()) << nl.name() << " " << toString(nl, f) << ": PODEM gave up";
+        EXPECT_EQ(by_podem == PodemOutcome::Success, testable) << nl.name() << " " << toString(nl, f);
+
+        rec.clear();
+        const PodemOutcome by_sat = sat.generate(f, free, p, &rec);
+        ASSERT_NE(by_sat, PodemOutcome::Aborted) << nl.name() << " " << toString(nl, f);
+        EXPECT_EQ(by_sat == PodemOutcome::Success, testable) << nl.name() << " " << toString(nl, f);
+        if (by_sat == PodemOutcome::Success) {
+            const Pattern pats[1] = {p};
+            const FaultSite fs[1] = {f};
+            EXPECT_TRUE(refStuckAtDetections(nl, pats, fs)[0][0]) << toString(nl, f);
+        } else {
+            const DrupVerdict v = checkDrup(rec.proof());
+            EXPECT_TRUE(v.ok) << toString(nl, f) << ": " << v.why << " at step " << v.step;
+        }
     }
+}
+
+TEST(PodemComplete, AgreesWithExhaustiveSearchOnS27) {
+    const Netlist nl = makeS27(lib());
+    expectEnginesAgree(nl, collapsedStuckAtFaults(nl));
 }
 
 TEST(PodemComplete, AgreesWithExhaustiveSearchOnRandomTinyCircuits) {
@@ -356,20 +385,11 @@ TEST(PodemComplete, AgreesWithExhaustiveSearchOnRandomTinyCircuits) {
         s.seed = rng.next();
         const Netlist nl = generateCircuit(s, lib());
 
-        PodemConfig cfg;
-        cfg.max_backtracks = 5000;
-        Podem podem(nl, cfg);
         auto faults = collapsedStuckAtFaults(nl);
         Rng pick(seed ^ 0x77);
         pick.shuffle(faults);
         faults.resize(25);
-        for (const FaultSite& f : faults) {
-            Pattern p;
-            const PodemOutcome out = podem.generate(f, p);
-            ASSERT_NE(out, PodemOutcome::Aborted);
-            EXPECT_EQ(out == PodemOutcome::Success, exhaustivelyTestable(nl, f))
-                << s.name << " " << toString(nl, f);
-        }
+        expectEnginesAgree(nl, faults);
     }
 }
 
